@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, EstimationError, GenerationError, NumericError
+from .errors import BalanceBenchError, ConfigError, EstimationError, GenerationError, NumericError
 from .estimators import ResponseSurfaces, augmented_weighted_average, weighted_average, weighted_ols
 from .learners import fit_learner
 from .scenarios import (
@@ -35,10 +35,10 @@ from .weights import (
     ESTIMANDS,
     METHODS,
     POSTPROCS,
-    cached_tlf_hyper,
     energy_balance,
     iptw_weights,
     kom_weights,
+    select_tlf_hyper,
     tlf_weights,
     weights_to_csv,
 )
@@ -53,7 +53,7 @@ SUMMARY_HEADER = (
 
 WORKERS_ENV_VAR = "BALANCEBENCH_WORKERS"
 
-_ACCEPTED_SOLVER_STATUSES = {"optimal", "closed_form", "degenerate_uniform", "converged", "max_iter_tlf"}
+_ACCEPTED_SOLVER_STATUSES = {"optimal", "closed_form", "degenerate_uniform", "converged"}
 
 
 def _canonical_subset(requested, canonical, what) -> tuple:
@@ -291,9 +291,6 @@ def run_replication(spec: ScenarioSpec, replication: int, config: RunConfig, tlf
                 else:
                     bw = tlf_weights(ds.X, ds.T, estimand, hyper=tlf_hyper.get(estimand))
                 solver_status = bw.diagnostics.get("solver_status", "closed_form")
-                if method == "tlf" and solver_status == "max_iter":
-                    # a stalled ascent still yields a usable feasible model
-                    bw.diagnostics["solver_status"] = solver_status = "max_iter_tlf"
                 if solver_status not in _ACCEPTED_SOLVER_STATUSES:
                     weight_cache[key] = ("error", f"solver_{solver_status}")
                 else:
@@ -363,8 +360,7 @@ def tlf_hyperparameters(spec: ScenarioSpec, config: RunConfig) -> dict:
     ds = generate_dataset(spec, replication_rng(spec, HYPER_STREAM, config.master_seed))
     hyper = {}
     for estimand in config.estimands:
-        key = (spec.n, spec.rarity, spec.confounding, config.master_seed, estimand)
-        lam, gamma = cached_tlf_hyper(key, ds.X, ds.T, estimand)
+        lam, gamma = select_tlf_hyper(ds.X, ds.T, estimand)
         hyper[estimand] = {"lambda": lam, "gamma": gamma}
     return hyper
 
@@ -394,7 +390,8 @@ def run_scenario(config: RunConfig, scenario) -> list[ReplicationRecord]:
     expected = config.replications * len(config.cells()) * len(config.estimators) * len(config.estimands)
     if config.crude:
         expected += config.replications
-    assert len(records) == expected, f"record count {len(records)} != expected {expected}"
+    if len(records) != expected:
+        raise BalanceBenchError(f"record count {len(records)} != expected {expected}")
     return records
 
 

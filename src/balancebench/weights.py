@@ -8,7 +8,6 @@ propensity scores (penalized scoring-rule maximization in an RKHS).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -331,6 +330,8 @@ class TlfModel:
     lam: float
     gram: np.ndarray
     converged: bool = True
+    iterations: int = 0
+    grad_norm: float = 0.0
 
 
 def tlf_score(q, t, estimand: str):
@@ -344,20 +345,27 @@ def tlf_score(q, t, estimand: str):
     return -(1.0 - t) * logodds - t / q
 
 
-def _tlf_value_grad(K, T, intercept, alpha, lam, estimand):
-    n = T.size
-    eta = intercept + K @ alpha
+def _tlf_terms(eta, T, estimand):
+    """Tailored score s, its first derivative u and its second derivative h <= 0
+    in the linear predictor eta, elementwise."""
     p = np.clip(expit(eta), 1e-12, 1.0 - 1e-12)
     if estimand == "ATE":
         s = (2.0 * T - 1.0) * eta - T / p - (1.0 - T) / (1.0 - p)
         u = T / p - (1.0 - T) / (1.0 - p)
+        h = -(T * (1.0 - p) / p + (1.0 - T) * p / (1.0 - p))
     else:
         s = -(1.0 - T) * eta - T / p
         u = T * (1.0 - p) / p - (1.0 - T)
-    value = float(s.mean()) - lam * float(alpha @ (K @ alpha))
-    grad_alpha = K @ (u / n - 2.0 * lam * alpha)
-    grad_intercept = float(u.mean())
-    return value, grad_intercept, grad_alpha
+        h = -T * (1.0 - p) / p
+    return s, u, h
+
+
+def _tlf_value_grad(K, T, intercept, alpha, lam, estimand):
+    n = T.size
+    K_alpha = K @ alpha
+    s, u, _ = _tlf_terms(intercept + K_alpha, T, estimand)
+    value = float(s.mean()) - lam * float(alpha @ K_alpha)
+    return value, float(u.mean()), K @ (u / n - 2.0 * lam * alpha)
 
 
 def tlf_fit(
@@ -366,14 +374,14 @@ def tlf_fit(
     estimand: str,
     lam: float,
     gamma: float,
-    max_iter: int = 5000,
+    max_iter: int = 50,
     gtol: float = 1e-6,
 ) -> TlfModel:
-    """Maximize the penalized tailored scoring rule by gradient ascent with
-    backtracking, starting from alpha = 0 and the marginal log-odds intercept."""
+    """Maximize the penalized tailored scoring rule by damped Newton, starting
+    from alpha = 0 and the marginal log-odds intercept."""
     _check_estimand(estimand)
-    if lam < 0 or gamma <= 0:
-        raise ValueError("need lam >= 0 and gamma > 0")
+    if gamma <= 0:
+        raise ValueError("need gamma > 0")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     T = np.asarray(T, dtype=float)
     _validate_groups(T)
@@ -382,7 +390,12 @@ def tlf_fit(
     return _tlf_fit_gram(K, T, estimand, lam, kernel, max_iter, gtol)
 
 
-def _tlf_fit_gram(K, T, estimand, lam, kernel, max_iter=5000, gtol=1e-6) -> TlfModel:
+def _tlf_fit_gram(K, T, estimand, lam, kernel, max_iter=50, gtol=1e-6) -> TlfModel:
+    """Damped Newton on (intercept, alpha) for the concave objective, with the
+    factor K divided out of the alpha rows of the Newton system; certified
+    (converged) only when max|gradient| < gtol."""
+    if lam <= 0:  # the objective is unbounded, and for ATT the system singular
+        raise ValueError("need lam > 0")
     n = T.size
     rate = min(max(T.mean(), 1e-6), 1.0 - 1e-6)
     intercept = float(np.log(rate / (1.0 - rate)))
@@ -390,31 +403,32 @@ def _tlf_fit_gram(K, T, estimand, lam, kernel, max_iter=5000, gtol=1e-6) -> TlfM
     value, g0, ga = _tlf_value_grad(K, T, intercept, alpha, lam, estimand)
     if not np.isfinite(value):
         raise NumericError("tailored-loss objective is non-finite at the start point")
-    step = 1.0
-    converged = False
-    for _ in range(max_iter):
-        gnorm = max(abs(g0), float(np.max(np.abs(ga))) if ga.size else 0.0)
-        if gnorm < gtol:
-            converged = True
+    system = np.empty((n + 1, n + 1))
+    iterations = 0
+    while (gnorm := max(abs(g0), float(np.max(np.abs(ga))))) >= gtol and iterations < max_iter:
+        _, u, h = _tlf_terms(intercept + K @ alpha, T, estimand)
+        h /= n
+        system[0, 0], system[0, 1:], system[1:, 0] = h.sum(), K @ h, h
+        np.multiply(h[:, None], K, out=system[1:, 1:])
+        system[1:, 1:].flat[:: n + 1] -= 2.0 * lam
+        try:
+            direction = np.linalg.solve(system, -np.concatenate(([u.mean()], u / n - 2.0 * lam * alpha)))
+        except np.linalg.LinAlgError:
             break
-        gsq = g0 * g0 + float(ga @ ga)
-        accepted = False
-        while step >= 1e-18:
-            cand_i = intercept + step * g0
-            cand_a = alpha + step * ga
-            cand_v, cand_g0, cand_ga = _tlf_value_grad(K, T, cand_i, cand_a, lam, estimand)
-            if np.isfinite(cand_v) and cand_v >= value + 1e-4 * step * gsq:
-                intercept, alpha = cand_i, cand_a
-                value, g0, ga = cand_v, cand_g0, cand_ga
-                step = min(step * 2.0, 1e6)
-                accepted = True
+        slope = g0 * direction[0] + float(ga @ direction[1:])
+        step = 1.0
+        # Armijo backtracking; no ascent direction or no acceptable step ends the fit uncertified
+        while slope > 0.0 and step >= 1e-10:
+            cand = (intercept + step * direction[0], alpha + step * direction[1:])
+            cand_v, cand_g0, cand_ga = _tlf_value_grad(K, T, *cand, lam, estimand)
+            if np.isfinite(cand_v) and cand_v >= value + 1e-4 * step * slope:
                 break
             step *= 0.5
-        if not accepted:
+        else:
             break
-    if not np.isfinite(value):
-        raise NumericError("tailored-loss objective became non-finite")
-    return TlfModel(alpha, intercept, kernel, lam, K, converged)
+        (intercept, alpha), value, g0, ga = cand, cand_v, cand_g0, cand_ga
+        iterations += 1
+    return TlfModel(alpha, intercept, kernel, lam, K, gnorm < gtol, iterations, gnorm)
 
 
 def tlf_predict(model: TlfModel, X: np.ndarray, train_X: np.ndarray | None = None) -> np.ndarray:
@@ -425,10 +439,6 @@ def tlf_predict(model: TlfModel, X: np.ndarray, train_X: np.ndarray | None = Non
         cross = gram_matrix(model.kernel, np.atleast_2d(X), np.atleast_2d(train_X))
         eta = model.intercept + cross @ model.alpha
     return np.clip(expit(eta), 1e-12, 1.0 - 1e-12)
-
-
-_TLF_CACHE: dict = {}
-_TLF_LOCK = threading.Lock()
 
 
 def select_tlf_hyper(
@@ -457,9 +467,11 @@ def select_tlf_hyper(
                 if t_train.min() == t_train.max():
                     continue
                 K_tr = K[np.ix_(train, train)]
-                model = _tlf_fit_gram(
-                    K_tr, t_train, estimand, lam, KernelSpec("laplacian", gamma), max_iter=2000
-                )
+                model = _tlf_fit_gram(K_tr, t_train, estimand, lam, KernelSpec("laplacian", gamma))
+                if not model.converged:
+                    # an uncertified fold fit makes the whole grid point ineligible
+                    fold_scores = []
+                    break
                 eta = model.intercept + K[np.ix_(test, train)] @ model.alpha
                 p = np.clip(expit(eta), 1e-12, 1.0 - 1e-12)
                 fold_scores.append(float(tlf_score(p, T[test], estimand).mean()))
@@ -472,26 +484,14 @@ def select_tlf_hyper(
     return best
 
 
-def cached_tlf_hyper(cache_key, X, T, estimand) -> tuple[float, float]:
-    """Write-once per-key hyperparameter selection (thread-safe)."""
-    with _TLF_LOCK:
-        if cache_key in _TLF_CACHE:
-            return _TLF_CACHE[cache_key]
-    hyper = select_tlf_hyper(X, T, estimand)
-    with _TLF_LOCK:
-        return _TLF_CACHE.setdefault(cache_key, hyper)
-
-
 def tlf_weights(
     X: np.ndarray,
     T: np.ndarray,
     estimand: str,
     hyper: dict | None = None,
-    cache_key=None,
 ) -> BalanceWeights:
     """IPTW-formula weights from the tailored-loss propensity fit, normalized so
-    each group's weights sum to one. hyper=None triggers cross-validated selection
-    (cached under cache_key when given)."""
+    each group's weights sum to one. hyper=None triggers cross-validated selection."""
     _check_estimand(estimand)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     T = np.asarray(T, dtype=float)
@@ -499,10 +499,7 @@ def tlf_weights(
     if _rows_all_identical(X):
         return _uniform_weights(T, estimand, "tlf")
     if hyper is None:
-        if cache_key is not None:
-            lam, gamma = cached_tlf_hyper(cache_key, X, T, estimand)
-        else:
-            lam, gamma = select_tlf_hyper(X, T, estimand)
+        lam, gamma = select_tlf_hyper(X, T, estimand)
     else:
         lam, gamma = float(hyper["lambda"]), float(hyper["gamma"])
 
@@ -519,6 +516,8 @@ def tlf_weights(
     kept = np.ones(n, dtype=bool)
     extra = {
         "solver_status": "converged" if model.converged else "max_iter",
+        "solver_iterations": model.iterations,
+        "grad_norm": model.grad_norm,
         "lambda": lam,
         "gamma": gamma,
     }

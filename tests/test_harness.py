@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 import balancebench as bb
-from balancebench.errors import ConfigError
+from balancebench import harness, weights
+from balancebench.errors import BalanceBenchError, ConfigError
 from balancebench.harness import (
     MetricsSummary,
     ReplicationRecord,
@@ -13,6 +15,7 @@ from balancebench.harness import (
     config_from_mapping,
     config_to_text,
     parse_config_text,
+    run_replication,
     run_scenario,
     summary_csv_lines,
 )
@@ -252,6 +255,26 @@ def test_tlf_through_harness_uses_cached_hyper():
     assert len(records) == 2
     assert all(r.learner == "-" for r in records)
     assert all(r.valid for r in records)
+
+
+def test_uncertified_tlf_fit_becomes_invalid_record(monkeypatch):
+    real = weights._tlf_fit_gram
+    monkeypatch.setattr(
+        weights, "_tlf_fit_gram", lambda *args: dataclasses.replace(real(*args), converged=False)
+    )
+    config = small_config(methods=("tlf",), estimators=("WA", "OLS"), estimands=("ATE", "ATT"))
+    spec = bb.build_scenario("common", "low", 250, config.master_seed)
+    hyper = {estimand: {"lambda": 1e-2, "gamma": 0.5} for estimand in ("ATE", "ATT")}
+    records = run_replication(spec, 0, config, hyper)
+    assert len(records) == 4
+    assert all(not r.valid and r.reason == "solver_max_iter" for r in records)
+
+
+def test_record_count_mismatch_raises(monkeypatch):
+    real = harness.run_replication
+    monkeypatch.setattr(harness, "run_replication", lambda *args: real(*args)[:-1])
+    with pytest.raises(BalanceBenchError, match="record count"):
+        run_scenario(small_config(), (250, "common", "low"))
 
 
 def test_crude_mode_adds_records():

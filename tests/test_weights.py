@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import balancebench as bb
+from balancebench import weights
 from balancebench.estimators import weighted_average
 from balancebench.kernels import KernelSpec, distance_matrix, gram_matrix
 from balancebench.weights import (
@@ -304,6 +307,56 @@ def test_tlf_gradient_matches_finite_differences():
             assert ga[j] == pytest.approx((up - dn) / (2 * eps), rel=1e-4)
 
 
+def test_tlf_curvature_matches_finite_differences():
+    # With K = I the linear predictor is eta_j = b + alpha_j, so the gradient's
+    # alpha_j-derivative of component j is h_j / n - 2 lam and its b-derivative
+    # of the intercept component is mean(h).
+    spec = bb.build_scenario("common", "low", 20, 3)
+    ds = bb.generate_dataset(spec, bb.replication_rng(spec, 0))
+    from balancebench.weights import _tlf_terms, _tlf_value_grad
+
+    n = 20
+    K = np.eye(n)
+    rng = np.random.default_rng(1)
+    alpha = 0.5 * rng.standard_normal(n)
+    b0, lam, eps = -0.3, 1e-3, 1e-5
+    for estimand in ("ATE", "ATT"):
+        _, _, h = _tlf_terms(b0 + alpha, ds.T, estimand)
+        assert np.all(h <= 0.0)
+        up = _tlf_value_grad(K, ds.T, b0 + eps, alpha, lam, estimand)[1]
+        dn = _tlf_value_grad(K, ds.T, b0 - eps, alpha, lam, estimand)[1]
+        assert h.mean() == pytest.approx((up - dn) / (2 * eps), rel=1e-4)
+        for j in range(n):
+            da, db = alpha.copy(), alpha.copy()
+            da[j] += eps
+            db[j] -= eps
+            up = _tlf_value_grad(K, ds.T, b0, da, lam, estimand)[2][j]
+            dn = _tlf_value_grad(K, ds.T, b0, db, lam, estimand)[2][j]
+            assert h[j] / n - 2 * lam == pytest.approx((up - dn) / (2 * eps), rel=1e-4)
+
+
+def test_tlf_fit_certifies_in_few_newton_steps():
+    from balancebench.weights import _tlf_value_grad
+
+    spec = bb.build_scenario("common", "moderate", 250, 1)
+    ds = bb.generate_dataset(spec, bb.replication_rng(spec, 0))
+    for estimand in ("ATE", "ATT"):
+        model = tlf_fit(ds.X, ds.T, estimand, lam=1e-2, gamma=0.5)
+        assert model.converged and 1 <= model.iterations <= 20
+        _, g0, ga = _tlf_value_grad(model.gram, ds.T, model.intercept, model.alpha, 1e-2, estimand)
+        assert max(abs(g0), np.max(np.abs(ga))) == model.grad_norm < 1e-6
+
+
+def test_tlf_rejects_nonpositive_penalty():
+    spec = bb.build_scenario("common", "low", 30, 3)
+    ds = bb.generate_dataset(spec, bb.replication_rng(spec, 0))
+    for lam in (0.0, -1e-3):
+        with pytest.raises(ValueError):
+            tlf_fit(ds.X, ds.T, "ATT", lam=lam, gamma=0.5)
+    with pytest.raises(ValueError):
+        select_tlf_hyper(ds.X, ds.T, "ATE", lambdas=(0.0,), gammas=(0.5,), folds=3)
+
+
 def test_tlf_weight_sums():
     spec = bb.build_scenario("rare", "low", 150, 6)
     ds = bb.generate_dataset(spec, bb.replication_rng(spec, 0))
@@ -311,6 +364,9 @@ def test_tlf_weight_sums():
         bw = tlf_weights(ds.X, ds.T, estimand, hyper={"lambda": 1e-2, "gamma": 0.5})
         assert bw.values[ds.T == 1].sum() == pytest.approx(1.0, abs=1e-6)
         assert bw.values[ds.T == 0].sum() == pytest.approx(1.0, abs=1e-6)
+        assert bw.diagnostics["solver_status"] == "converged"
+        assert bw.diagnostics["solver_iterations"] >= 1
+        assert bw.diagnostics["grad_norm"] < 1e-6
 
 
 def test_tlf_huge_penalty_collapses_to_intercept():
@@ -339,6 +395,24 @@ def test_tlf_hyper_selection_is_deterministic_and_on_grid():
     lam2, gamma2 = select_tlf_hyper(ds.X, ds.T, "ATE", lambdas=(1e-3, 1e-2), gammas=(0.5, 1.0), folds=3)
     assert (lam, gamma) == (lam2, gamma2)
     assert lam in (1e-3, 1e-2) and gamma in (0.5, 1.0)
+
+
+def test_tlf_hyper_selection_skips_uncertified_points(monkeypatch):
+    spec = bb.build_scenario("common", "low", 120, 4)
+    ds = bb.generate_dataset(spec, bb.replication_rng(spec, 0))
+    grid = dict(lambdas=(1e-3, 1e-2), gammas=(0.5, 1.0), folds=3)
+    best = select_tlf_hyper(ds.X, ds.T, "ATE", **grid)
+    real = weights._tlf_fit_gram
+
+    def fit(K, T, estimand, lam, kernel, *args):
+        model = real(K, T, estimand, lam, kernel, *args)
+        uncertified = (lam, kernel.scale) == best
+        return dataclasses.replace(model, converged=model.converged and not uncertified)
+
+    monkeypatch.setattr(weights, "_tlf_fit_gram", fit)
+    again = select_tlf_hyper(ds.X, ds.T, "ATE", **grid)
+    assert again != best
+    assert again[0] in grid["lambdas"] and again[1] in grid["gammas"]
 
 
 def test_weights_csv_export(tmp_path):
