@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import BalanceBenchError, ConfigError, EstimationError, GenerationError, NumericError
 from .estimators import ResponseSurfaces, augmented_weighted_average, weighted_average, weighted_ols
+from .kernels import Geometry
 from .learners import fit_learner
 from .scenarios import (
     CONFOUNDING_LEVELS,
@@ -271,6 +272,7 @@ def run_replication(spec: ScenarioSpec, replication: int, config: RunConfig, tlf
                 surf_cache[kind] = ("error", _reason_from(exc))
         return surf_cache[kind]
 
+    geometry = Geometry(ds.X)  # built lazily, shared by EB, KOM and TLF
     weight_cache: dict = {}
 
     def balance(method, learner, estimand, postproc=None):
@@ -285,11 +287,11 @@ def run_replication(spec: ScenarioSpec, replication: int, config: RunConfig, tlf
                     bw = iptw_weights(payload, ds.T, estimand, postproc or config.iptw_postproc)
                     bw.diagnostics.update(diag)
                 elif method == "eb":
-                    bw = energy_balance(ds.X, ds.T, estimand)
+                    bw = energy_balance(ds.X, ds.T, estimand, geometry=geometry)
                 elif method == "kom":
-                    bw = kom_weights(ds.X, ds.T, ds.Y, estimand)
+                    bw = kom_weights(ds.X, ds.T, ds.Y, estimand, geometry=geometry)
                 else:
-                    bw = tlf_weights(ds.X, ds.T, estimand, hyper=tlf_hyper.get(estimand))
+                    bw = tlf_weights(ds.X, ds.T, estimand, hyper=tlf_hyper.get(estimand), geometry=geometry)
                 solver_status = bw.diagnostics.get("solver_status", "closed_form")
                 if solver_status not in _ACCEPTED_SOLVER_STATUSES:
                     weight_cache[key] = ("error", f"solver_{solver_status}")
@@ -338,6 +340,9 @@ def run_replication(spec: ScenarioSpec, replication: int, config: RunConfig, tlf
                     record(method, learner, estimator, estimand, est.value, est.se, est.ci95,
                            est.valid, reason, diag)
                 )
+        if method != "iptw":
+            # this method's arrays are no longer read; KOM takes its bandwidth from EB's distances
+            geometry.release(keep_distances=method == "eb" and "kom" in config.methods)
 
     if config.crude:
         records.append(record("crude", None, "crude", "ATE", crude_estimate(ds), valid=True))
@@ -423,17 +428,8 @@ def summarize(records, truth: float = 0.0, bound=(-1.0, 1.0)) -> list[MetricsSum
     summaries = []
     for key in groups:
         rs = groups[key]
-        vals = np.array(
-            [r.value for r in rs if np.isfinite(r.value) and bound[0] <= r.value <= bound[1]]
-        )
+        vals = np.array([r.value for r in rs if _in_bound(r, bound)])
         m = vals.size
-        covered = [
-            (r.ci_lo <= truth <= r.ci_hi)
-            for r in rs
-            if r.ci_lo is not None
-            and np.isfinite(r.value)
-            and bound[0] <= r.value <= bound[1]
-        ]
         if m == 0:
             summaries.append(MetricsSummary(*key, len(rs), 0.0, None, None, None, None, None, None))
             continue
@@ -443,7 +439,7 @@ def summarize(records, truth: float = 0.0, bound=(-1.0, 1.0)) -> list[MetricsSum
         rmse_truth = float(np.sqrt((err**2).mean()))
         var = float(vals.var(ddof=1)) if m >= 2 else None
         spread = float(np.sqrt(var)) if var is not None else None
-        coverage = float(np.mean(covered)) if covered else None
+        coverage = _coverage(rs, truth, bound)
         summaries.append(
             MetricsSummary(*key, len(rs), m / len(rs), bias, mae, spread, var, rmse_truth, coverage)
         )
@@ -451,16 +447,22 @@ def summarize(records, truth: float = 0.0, bound=(-1.0, 1.0)) -> list[MetricsSum
     return summaries
 
 
+def _in_bound(record, bound) -> bool:
+    return bool(np.isfinite(record.value) and bound[0] <= record.value <= bound[1])
+
+
+def _coverage(records, truth, bound) -> float | None:
+    """Fraction of CI-carrying records with an in-bound estimate whose interval
+    contains the truth; None when there are none."""
+    covered = [r.ci_lo <= truth <= r.ci_hi for r in records if r.ci_lo is not None and _in_bound(r, bound)]
+    return float(np.mean(covered)) if covered else None
+
+
 def coverage_rate(records, truth: float = 0.0) -> float:
-    """Fraction of valid CI-carrying records whose interval contains the truth."""
-    covered = [
-        (r.ci_lo <= truth <= r.ci_hi)
-        for r in records
-        if r.ci_lo is not None and r.valid
-    ]
-    if not covered:
-        return float("nan")
-    return float(np.mean(covered))
+    """Coverage as `summarize` computes it, over all of `records`; NaN when no
+    record qualifies."""
+    coverage = _coverage(records, truth, (-1.0, 1.0))
+    return float("nan") if coverage is None else coverage
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +606,18 @@ def summary_csv_lines(summaries) -> list[str]:
     return lines
 
 
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _blas_name() -> str:
+    """Name and version of the BLAS numpy was built against."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.25 has no dict mode
+        return "unknown"
+    return f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}"
+
+
 def emit_results(summaries, records, config: RunConfig, wall_time: float = 0.0) -> dict:
     """Write summary.csv, optional records.ndjson, and manifest.txt; returns paths."""
     out = config.output_path
@@ -632,6 +646,9 @@ def emit_results(summaries, records, config: RunConfig, wall_time: float = 0.0) 
             fh.write(f"# wall_time_seconds = {wall_time:.3f}\n")
             fh.write(f"# python = {sys.version.split()[0]}\n")
             fh.write(f"# numpy = {np.__version__}\n")
+            fh.write(f"# blas = {_blas_name()}\n")
+            for var in _THREAD_VARS:
+                fh.write(f"# {var} = {os.environ.get(var, 'unset')}\n")
             fh.write(config_to_text(config))
         return paths
     except OSError as exc:

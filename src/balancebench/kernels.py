@@ -66,14 +66,63 @@ def gram_matrix(kernel: KernelSpec, X: np.ndarray, Z: np.ndarray | None = None) 
     return K
 
 
-def median_heuristic(X: np.ndarray) -> float:
-    """Median of the strictly positive pairwise Euclidean distances."""
+def median_heuristic(X: np.ndarray, distances: np.ndarray | None = None) -> float:
+    """Median of the strictly positive pairwise Euclidean distances; `distances`,
+    if given, is distance_matrix(X) computed beforehand."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[0] < 2:
         raise ValueError("need at least two rows")
-    d = distance_matrix(X)
+    d = distance_matrix(X) if distances is None else distances
     upper = d[np.triu_indices(d.shape[0], k=1)]
     positive = upper[upper > 0.0]
     if positive.size == 0:
         raise ValueError("all rows are identical; the median distance is degenerate")
     return float(np.median(positive))
+
+
+class Geometry:
+    """Pairwise geometry of one sample, each piece built on first use and then
+    shared: Euclidean distances, the median bandwidth, one Gram matrix per
+    KernelSpec, and `memo` for objects derived from them. Cached arrays are
+    read-only; `release` drops them when their users are done."""
+
+    def __init__(self, X: np.ndarray):
+        self.X = np.atleast_2d(np.asarray(X, dtype=float))
+        self._memo: dict = {}
+
+    @classmethod
+    def of(cls, X: np.ndarray, geometry: "Geometry | None") -> "Geometry":
+        """`geometry` after checking that it was built for X, or a new one."""
+        if geometry is None:
+            return cls(X)
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if geometry.X is not X and not np.array_equal(geometry.X, X):
+            raise ValueError("geometry was built for different covariates")
+        return geometry
+
+    def memo(self, key, compute):
+        """compute() on the first call with `key`, the stored result afterwards."""
+        if key not in self._memo:
+            value = compute()
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            self._memo[key] = value
+        return self._memo[key]
+
+    def release(self, keep_distances: bool = False) -> None:
+        """Drop the cached arrays, except the distances if asked; scalars such
+        as the median stay. A dropped array is rebuilt on its next use."""
+        self._memo = {
+            key: value
+            for key, value in self._memo.items()
+            if not isinstance(value, np.ndarray) or (keep_distances and key == "distances")
+        }
+
+    def distances(self) -> np.ndarray:
+        return self.memo("distances", lambda: distance_matrix(self.X))
+
+    def median(self) -> float:
+        return self.memo("median", lambda: median_heuristic(self.X, distances=self.distances()))
+
+    def gram(self, kernel: KernelSpec) -> np.ndarray:
+        return self.memo(kernel, lambda: gram_matrix(kernel, self.X))

@@ -29,6 +29,8 @@ class QuadraticProgram:
     Q: np.ndarray
     c: np.ndarray
     equalities: tuple[tuple[tuple[int, ...], float], ...] = ()
+    blocks: tuple[tuple[np.ndarray, float], ...] = field(init=False, repr=False, compare=False)
+    block_of: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         Q = np.asarray(self.Q, dtype=float)
@@ -50,6 +52,13 @@ class QuadraticProgram:
             seen.update(idx)
             cleaned.append((idx, float(target)))
         object.__setattr__(self, "equalities", tuple(cleaned))
+        # index arrays and the block of each coordinate (-1 if in none)
+        blocks = tuple((np.asarray(idx, dtype=np.intp), target) for idx, target in cleaned)
+        block_of = np.full(c.size, -1, dtype=np.intp)
+        for k, (idx, _) in enumerate(blocks):
+            block_of[idx] = k
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "block_of", block_of)
 
     @property
     def n(self) -> int:
@@ -84,15 +93,15 @@ def project_simplex(v: np.ndarray, total: float) -> np.ndarray:
 
 def _project_feasible(v: np.ndarray, qp: QuadraticProgram) -> np.ndarray:
     w = np.maximum(v, 0.0)
-    for idx, target in qp.equalities:
-        w[list(idx)] = project_simplex(v[list(idx)], target)
+    for idx, target in qp.blocks:
+        w[idx] = project_simplex(v[idx], target)
     return w
 
 
 def _feasible_start(qp: QuadraticProgram) -> np.ndarray:
     w = np.zeros(qp.n)
-    for idx, target in qp.equalities:
-        w[list(idx)] = target / len(idx)
+    for idx, target in qp.blocks:
+        w[idx] = target / idx.size
     return w
 
 
@@ -114,9 +123,9 @@ def _reduced_min_eigenvalue(Q: np.ndarray, qp: QuadraticProgram) -> float:
     """Smallest eigenvalue of Q restricted to the equality-constraint null space."""
     n = qp.n
     P = np.eye(n)
-    for idx, _ in qp.equalities:
+    for idx, _ in qp.blocks:
         e = np.zeros(n)
-        e[list(idx)] = 1.0 / np.sqrt(len(idx))
+        e[idx] = 1.0 / np.sqrt(idx.size)
         P -= np.outer(e, e)
     M = P @ Q @ P
     M = 0.5 * (M + M.T)
@@ -128,13 +137,12 @@ def _kkt_solve(free, Qs, c, qp):
     full vector and the per-block multipliers (None on numerical failure)."""
     rows = []
     targets = []
-    block_of = np.full(qp.n, -1)
-    for k, (idx, target) in enumerate(qp.equalities):
-        block_of[list(idx)] = k
-        inside = np.isin(free, np.asarray(idx))
+    free_block = qp.block_of[free]
+    for k, (_, target) in enumerate(qp.blocks):
+        inside = free_block == k
         if not inside.any():
             if target > _FREE_EPS:
-                return None, None, block_of
+                return None, None
             continue
         rows.append((k, inside.astype(float)))
         targets.append(target)
@@ -151,13 +159,13 @@ def _kkt_solve(free, Qs, c, qp):
     except np.linalg.LinAlgError:
         sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
     if not np.all(np.isfinite(sol)):
-        return None, None, block_of
+        return None, None
     cand = np.zeros(qp.n)
     cand[free] = sol[: free.size]
-    lams = np.zeros(len(qp.equalities))
+    lams = np.zeros(len(qp.blocks))
     for j, (k, _) in enumerate(rows):
         lams[k] = -sol[free.size + j]
-    return cand, lams, block_of
+    return cand, lams
 
 
 def _polish(w, Qs, c, qp, objective, rounds: int = 3, tol: float = 1e-10):
@@ -170,7 +178,7 @@ def _polish(w, Qs, c, qp, objective, rounds: int = 3, tol: float = 1e-10):
     for _ in range(rounds):
         if free.size == 0:
             break
-        cand, lams, block_of = _kkt_solve(free, Qs, c, qp)
+        cand, lams = _kkt_solve(free, Qs, c, qp)
         if cand is None:
             break
         negative = cand.min() < -1e-11
@@ -187,8 +195,8 @@ def _polish(w, Qs, c, qp, objective, rounds: int = 3, tol: float = 1e-10):
         # dual feasibility on the active bound
         g = Qs @ feasible + c
         reduced = g.copy()
-        covered = block_of >= 0
-        reduced[covered] -= lams[block_of[covered]]
+        covered = qp.block_of >= 0
+        reduced[covered] -= lams[qp.block_of[covered]]
         zeroed = np.nonzero(feasible <= _FREE_EPS)[0]
         viol = zeroed[reduced[zeroed] < -tol]
         if viol.size == 0:

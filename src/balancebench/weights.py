@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError
-from .kernels import KernelSpec, distance_matrix, gram_matrix, median_heuristic
-from .qpsolver import QuadraticProgram, solve_qp
+from .kernels import Geometry, KernelSpec, gram_matrix
+from .qpsolver import STATUS_OPTIMAL, QuadraticProgram, solve_qp
 from .scenarios import expit
 
 ESTIMANDS = ("ATE", "ATT")
@@ -174,9 +174,12 @@ def energy_distance_objective(D: np.ndarray, w: np.ndarray, T: np.ndarray, estim
     return between(w[control], np.ones(n1))
 
 
-def energy_balance(X: np.ndarray, T: np.ndarray, estimand: str) -> BalanceWeights:
+def energy_balance(
+    X: np.ndarray, T: np.ndarray, estimand: str, geometry: Geometry | None = None
+) -> BalanceWeights:
     """Weights minimizing the discrete energy distance between the weighted
-    group distributions and their targets; group sums normalized to one."""
+    group distributions and their targets; group sums normalized to one.
+    `geometry`, if given, supplies the distance matrix of X."""
     _check_estimand(estimand)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     T = np.asarray(T, dtype=float)
@@ -185,7 +188,7 @@ def energy_balance(X: np.ndarray, T: np.ndarray, estimand: str) -> BalanceWeight
         return _uniform_weights(T, estimand, "eb")
     n = T.size
     n1, n0 = treated.size, control.size
-    D = distance_matrix(X)
+    D = Geometry.of(X, geometry).distances()
 
     if estimand == "ATE":
         Q = np.zeros((n, n))
@@ -260,15 +263,33 @@ def gp_ridge_selection(K_group: np.ndarray, y_group: np.ndarray, grid=KOM_RIDGE_
     return ridge, {"ridge_fallback": False, "ridge_evidence_max": float(max(lmls))}
 
 
+def _group_ridge(geometry: Geometry, kernel: KernelSpec, K, group, Y):
+    """gp_ridge_selection for one group, computed once per geometry, kernel and group data."""
+    key = ("gp_ridge", kernel, group.tobytes(), Y[group].tobytes())
+    return geometry.memo(key, lambda: gp_ridge_selection(K[np.ix_(group, group)], Y[group]))
+
+
+def _simplex_qp(K, group, lam, c):
+    """min w'(K_gg + lam I)w + c'w over the unit simplex of one group."""
+    Q = 2.0 * (K[np.ix_(group, group)] + lam * np.eye(group.size))
+    return solve_qp(QuadraticProgram(Q, c, ((tuple(range(group.size)), 1.0),)))
+
+
 def kom_weights(
     X: np.ndarray,
     T: np.ndarray,
     Y: np.ndarray,
     estimand: str,
     kernel: KernelSpec | None = None,
+    geometry: Geometry | None = None,
 ) -> BalanceWeights:
     """Kernel-optimal-matching weights: minimize the worst-case bias quadratic
-    over group simplexes, with per-group ridge chosen by GP marginal likelihood."""
+    over group simplexes, with per-group ridge chosen by GP marginal likelihood.
+
+    The ATE objective is block-diagonal with a separable linear term, so it is
+    solved as one simplex QP per group; the weights are certified only when
+    every group's QP is. `geometry`, if given, supplies the bandwidth and the
+    Gram matrix of X and shares the control-group ridge between estimands."""
     _check_estimand(estimand)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     T = np.asarray(T, dtype=float)
@@ -276,41 +297,36 @@ def kom_weights(
     treated, control = _validate_groups(T)
     if _rows_all_identical(X):
         return _uniform_weights(T, estimand, "kom")
+    geometry = Geometry.of(X, geometry)
     if kernel is None:
-        kernel = KernelSpec("gaussian", median_heuristic(X))
+        kernel = KernelSpec("gaussian", geometry.median())
     n = T.size
-    n1, n0 = treated.size, control.size
-    K = gram_matrix(kernel, X)
+    n1 = treated.size
+    K = geometry.gram(kernel)
 
-    lam0, diag0 = gp_ridge_selection(K[np.ix_(control, control)], Y[control])
+    lam0, diag0 = _group_ridge(geometry, kernel, K, control, Y)
     extra = {"kernel_scale": kernel.scale, "ridge_control": lam0, **{f"control_{k}": v for k, v in diag0.items()}}
 
+    w = np.empty(n)
     if estimand == "ATE":
-        lam1, diag1 = gp_ridge_selection(K[np.ix_(treated, treated)], Y[treated])
+        lam1, diag1 = _group_ridge(geometry, kernel, K, treated, Y)
         extra.update({"ridge_treated": lam1, **{f"treated_{k}": v for k, v in diag1.items()}})
-        Q = np.zeros((n, n))
-        Q[np.ix_(control, control)] = 2.0 * (K[np.ix_(control, control)] + lam0 * np.eye(n0))
-        Q[np.ix_(treated, treated)] = 2.0 * (K[np.ix_(treated, treated)] + lam1 * np.eye(n1))
         c = -(2.0 / n) * K.sum(axis=0)
-        qp = QuadraticProgram(Q, c, ((tuple(treated), 1.0), (tuple(control), 1.0)))
-        sol = solve_qp(qp)
-        w = sol.w.copy()
+        sols = [_simplex_qp(K, control, lam0, c[control]), _simplex_qp(K, treated, lam1, c[treated])]
+        w[treated] = sols[1].w
     else:
-        Q = 2.0 * (K[np.ix_(control, control)] + lam0 * np.eye(n0))
         c = -(2.0 / n1) * K[np.ix_(treated, control)].sum(axis=0)
-        qp = QuadraticProgram(Q, c, ((tuple(range(n0)), 1.0),))
-        sol = solve_qp(qp)
-        w = np.empty(n)
+        sols = [_simplex_qp(K, control, lam0, c)]
         w[treated] = 1.0 / n1
-        w[control] = sol.w
+    w[control] = sols[0].w
 
     kept = np.ones(n, dtype=bool)
     extra.update(
         {
-            "solver_status": sol.status,
-            "solver_iterations": sol.iterations,
-            "kkt_residual": sol.kkt_residual,
-            "diagonal_shift": sol.diagonal_shift,
+            "solver_status": next((s.status for s in sols if s.status != STATUS_OPTIMAL), STATUS_OPTIMAL),
+            "solver_iterations": sum(s.iterations for s in sols),
+            "kkt_residual": max(s.kkt_residual for s in sols),
+            "diagonal_shift": max(s.diagonal_shift for s in sols),
         }
     )
     return _finish(w, estimand, "kom", kept, T, extra)
@@ -376,9 +392,11 @@ def tlf_fit(
     gamma: float,
     max_iter: int = 50,
     gtol: float = 1e-6,
+    geometry: Geometry | None = None,
 ) -> TlfModel:
     """Maximize the penalized tailored scoring rule by damped Newton, starting
-    from alpha = 0 and the marginal log-odds intercept."""
+    from alpha = 0 and the marginal log-odds intercept. `geometry`, if given,
+    supplies the Laplacian Gram matrix of X."""
     _check_estimand(estimand)
     if gamma <= 0:
         raise ValueError("need gamma > 0")
@@ -386,7 +404,7 @@ def tlf_fit(
     T = np.asarray(T, dtype=float)
     _validate_groups(T)
     kernel = KernelSpec("laplacian", gamma)
-    K = gram_matrix(kernel, X)
+    K = Geometry.of(X, geometry).gram(kernel)
     return _tlf_fit_gram(K, T, estimand, lam, kernel, max_iter, gtol)
 
 
@@ -489,9 +507,11 @@ def tlf_weights(
     T: np.ndarray,
     estimand: str,
     hyper: dict | None = None,
+    geometry: Geometry | None = None,
 ) -> BalanceWeights:
     """IPTW-formula weights from the tailored-loss propensity fit, normalized so
-    each group's weights sum to one. hyper=None triggers cross-validated selection."""
+    each group's weights sum to one. hyper=None triggers cross-validated selection.
+    `geometry`, if given, supplies the Laplacian Gram matrix of X."""
     _check_estimand(estimand)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     T = np.asarray(T, dtype=float)
@@ -503,7 +523,7 @@ def tlf_weights(
     else:
         lam, gamma = float(hyper["lambda"]), float(hyper["gamma"])
 
-    model = tlf_fit(X, T, estimand, lam, gamma)
+    model = tlf_fit(X, T, estimand, lam, gamma, geometry=geometry)
     p = tlf_predict(model, X)
     n = T.size
     n1 = treated.size

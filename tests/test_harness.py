@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import balancebench as bb
-from balancebench import harness, weights
+from balancebench import harness, kernels, weights
 from balancebench.errors import BalanceBenchError, ConfigError
 from balancebench.harness import (
     MetricsSummary,
@@ -155,6 +155,22 @@ def test_coverage_rate():
     assert np.isnan(bb.coverage_rate([rec(0.1)]))
 
 
+def test_coverage_rate_matches_summarize():
+    records = [
+        rec(0.0, estimator="OLS", ci=(-0.1, 0.1)),
+        rec(0.2, estimator="OLS", ci=(0.3, 0.4)),
+        rec(1.5, estimator="OLS", ci=(-0.5, 3.5), reason="out_of_range"),
+        rec(-2.0, estimator="OLS", ci=(-3.0, -1.0), reason="out_of_range"),
+        rec(float("nan"), estimator="OLS", ci=(-1.0, 1.0), reason="solver_max_iter"),
+        rec(0.05, estimator="OLS", ci=(0.0, 0.1), reason="flagged"),  # in bound, not valid
+        rec(0.1, estimator="OLS"),
+    ]
+    (s,) = bb.summarize(records)
+    assert s.coverage == pytest.approx(2 / 3)
+    assert bb.coverage_rate(records) == s.coverage
+    assert np.isnan(bb.coverage_rate(records[2:5]))
+
+
 def test_summary_coverage_only_for_ci_records():
     records = [rec(0.0, estimator="OLS", ci=(-0.1, 0.1)), rec(0.2, estimator="OLS", ci=(0.3, 0.4))]
     (s,) = bb.summarize(records)
@@ -216,6 +232,21 @@ def test_manifest_replay_reproduces_summary(tmp_path):
     a = open(out1 / "summary.csv").read()
     b = open(out2 / "summary.csv").read()
     assert a == b
+
+
+def test_manifest_records_blas_and_threads_and_round_trips(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    config = small_config(estimands=("ATE", "ATT"), output_path=str(tmp_path))
+    records = run_scenario(config, config.scenarios[0])
+    paths = bb.emit_results(bb.summarize(records), records, config)
+    text = open(paths["manifest"]).read()
+    comments = text.splitlines()
+    assert any(line.startswith("# blas = ") and line != "# blas = " for line in comments)
+    assert "# OPENBLAS_NUM_THREADS = 1" in comments
+    assert "# OMP_NUM_THREADS = unset" in comments
+    replay = config_from_mapping(parse_config_text(text))
+    assert replay == dataclasses.replace(config, output_path=None)
 
 
 def test_config_parsing_errors():
@@ -299,3 +330,118 @@ def test_weight_dump_files(tmp_path):
     assert len(files) == 2
     header = open(tmp_path / "weights" / files[0]).readline().strip()
     assert header == "index,method,estimand,weight,kept"
+
+
+FIXED_TLF_HYPER = {estimand: {"lambda": 1e-2, "gamma": 0.5} for estimand in ("ATE", "ATT")}
+
+
+def count_calls(monkeypatch, module, name, log):
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        log.append((name, args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def geometry_calls(monkeypatch):
+    log = []
+    for name in ("squared_distances", "distance_matrix", "gram_matrix", "median_heuristic"):
+        count_calls(monkeypatch, kernels, name, log)
+    count_calls(monkeypatch, weights, "gram_matrix", log)
+    count_calls(monkeypatch, weights, "gp_ridge_selection", log)
+    return log
+
+
+def test_default_replication_builds_each_geometry_piece_once(monkeypatch):
+    log = geometry_calls(monkeypatch)
+    config = RunConfig(scenarios=((250, "common", "moderate"),), replications=1, master_seed=5)
+    spec = bb.build_scenario("common", "moderate", 250, 5)
+    records = run_replication(spec, 0, config, FIXED_TLF_HYPER)
+    assert all(r.valid for r in records)
+    names = [name for name, _, _ in log]
+    assert {name: names.count(name) for name in set(names)} == {
+        "squared_distances": 2, "distance_matrix": 1, "median_heuristic": 1,
+        "gram_matrix": 2, "gp_ridge_selection": 2,
+    }
+    families = sorted(args[0].family for name, args, _ in log if name == "gram_matrix")
+    assert families == ["gaussian", "laplacian"]
+
+
+def test_iptw_only_replication_builds_no_geometry(monkeypatch):
+    log = geometry_calls(monkeypatch)
+    config = small_config(learners=("oracle", "logistic_well"), estimands=("ATE", "ATT"))
+    spec = bb.build_scenario("common", "low", 250, config.master_seed)
+    records = run_replication(spec, 0, config, {})
+    assert len(records) == 4 and all(r.valid for r in records)
+    assert log == []
+
+
+def test_standalone_weights_equal_replication_weights(monkeypatch):
+    used = {}
+    for name in ("energy_balance", "kom_weights", "tlf_weights"):
+        real = getattr(harness, name)
+
+        def capture(*args, _real=real, **kwargs):
+            bw = _real(*args, **kwargs)
+            used[(bw.method, bw.estimand)] = bw.values
+            return bw
+
+        monkeypatch.setattr(harness, name, capture)
+    config = small_config(methods=("eb", "kom", "tlf"), estimands=("ATE", "ATT"))
+    spec = bb.build_scenario("common", "low", 250, config.master_seed)
+    run_replication(spec, 1, config, FIXED_TLF_HYPER)
+    ds = bb.generate_dataset(spec, bb.replication_rng(spec, 1, config.master_seed))
+    for estimand in ("ATE", "ATT"):
+        alone = {
+            "eb": weights.energy_balance(ds.X, ds.T, estimand),
+            "kom": weights.kom_weights(ds.X, ds.T, ds.Y, estimand),
+            "tlf": weights.tlf_weights(ds.X, ds.T, estimand, hyper=FIXED_TLF_HYPER[estimand]),
+        }
+        for method, bw in alone.items():
+            assert np.array_equal(bw.values, used[(method, estimand)]), (method, estimand)
+
+
+def test_uncertified_kom_ate_group_qp_invalidates_every_kom_ate_record(monkeypatch):
+    config = small_config(methods=("eb", "kom"), estimators=("WA", "AWA", "OLS"), estimands=("ATE", "ATT"))
+    spec = bb.build_scenario("common", "low", 250, config.master_seed)
+    ds = bb.generate_dataset(spec, bb.replication_rng(spec, 0, config.master_seed))
+    assert len({ds.n1, ds.n0, ds.n}) == 3  # only KOM-ATE's treated-group QP has n1 variables
+    real = weights.solve_qp
+
+    def solve(qp, *args, **kwargs):
+        sol = real(qp, *args, **kwargs)
+        return dataclasses.replace(sol, status="max_iter") if qp.n == ds.n1 else sol
+
+    monkeypatch.setattr(weights, "solve_qp", solve)
+    records = run_replication(spec, 0, config, {})
+    kom_ate = [r for r in records if r.method == "kom" and r.estimand == "ATE"]
+    others = [r for r in records if not (r.method == "kom" and r.estimand == "ATE")]
+    assert len(kom_ate) == 3 and len(others) == 9
+    assert all(not r.valid and r.reason == "solver_max_iter" for r in kom_ate)
+    assert all(r.valid for r in others)
+
+
+
+def test_replication_drops_geometry_arrays_once_read(monkeypatch):
+    made = []
+
+    class Recorded(kernels.Geometry):
+        def __init__(self, X):
+            super().__init__(X)
+            made.append(self)
+
+    held = {}
+    real = kernels.gram_matrix
+
+    def gram(kernel, *args, **kwargs):
+        held[kernel.family] = sorted(str(k) for k, v in made[0]._memo.items() if isinstance(v, np.ndarray))
+        return real(kernel, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "Geometry", Recorded)
+    monkeypatch.setattr(kernels, "gram_matrix", gram)
+    config = RunConfig(scenarios=((250, "common", "moderate"),), replications=1, master_seed=5)
+    run_replication(bb.build_scenario("common", "moderate", 250, 5), 0, config, FIXED_TLF_HYPER)
+    assert held == {"gaussian": ["distances"], "laplacian": []}
+    assert not any(isinstance(v, np.ndarray) for v in made[0]._memo.values())

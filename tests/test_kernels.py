@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from balancebench.kernels import KernelSpec, distance_matrix, gram_matrix, median_heuristic
+from balancebench.kernels import Geometry, KernelSpec, distance_matrix, gram_matrix, median_heuristic
 
 
 def test_kernel_spec_validation():
@@ -83,3 +83,51 @@ def test_median_heuristic_degenerate_input():
         median_heuristic(np.ones((5, 3)))
     with pytest.raises(ValueError):
         median_heuristic(np.ones((1, 3)))
+
+
+def test_geometry_matches_standalone_functions():
+    X = np.random.default_rng(3).standard_normal((30, 4))
+    geometry = Geometry(X)
+    np.testing.assert_array_equal(geometry.distances(), distance_matrix(X))
+    assert geometry.median() == median_heuristic(X)
+    for spec in (KernelSpec("gaussian", 0.9), KernelSpec("laplacian", 1.3)):
+        np.testing.assert_array_equal(geometry.gram(spec), gram_matrix(spec, X))
+
+
+def test_geometry_builds_each_piece_once_and_read_only():
+    X = np.random.default_rng(4).standard_normal((10, 3))
+    geometry = Geometry(X)
+    spec = KernelSpec("gaussian", 1.0)
+    assert geometry.distances() is geometry.distances()
+    assert geometry.gram(spec) is geometry.gram(KernelSpec("gaussian", 1.0))
+    assert geometry.gram(spec) is not geometry.gram(KernelSpec("gaussian", 2.0))
+    with pytest.raises(ValueError):
+        geometry.gram(spec)[0, 1] = 0.0
+    calls = []
+    assert geometry.memo("k", lambda: calls.append(1) or 7) == 7
+    assert geometry.memo("k", lambda: calls.append(1) or 8) == 7
+    assert calls == [1]
+
+
+def test_geometry_release_keeps_scalars_and_rebuilds_arrays():
+    X = np.random.default_rng(6).standard_normal((8, 3))
+    geometry = Geometry(X)
+    spec = KernelSpec("laplacian", 1.0)
+    distances, median, K = geometry.distances(), geometry.median(), geometry.gram(spec)
+    geometry.release(keep_distances=True)
+    assert geometry.distances() is distances and geometry.median() == median
+    assert geometry.gram(spec) is not K
+    geometry.release()
+    assert geometry.distances() is not distances
+    np.testing.assert_array_equal(geometry.distances(), distances)
+    np.testing.assert_array_equal(geometry.gram(spec), K)
+
+
+def test_geometry_of_checks_covariates():
+    X = np.random.default_rng(5).standard_normal((6, 2))
+    geometry = Geometry(X)
+    assert Geometry.of(X, geometry) is geometry
+    assert Geometry.of(X.copy(), geometry) is geometry
+    assert Geometry.of(X, None) is not geometry
+    with pytest.raises(ValueError):
+        Geometry.of(X + 1.0, geometry)

@@ -264,6 +264,50 @@ def test_kom_identical_rows_uniform():
     np.testing.assert_allclose(bw.values[T == 0], 0.125)
 
 
+@pytest.mark.parametrize("rarity", ["common", "rare"])
+def test_kom_ate_group_qps_match_joint_qp(rarity):
+    from balancebench.qpsolver import QuadraticProgram, solve_qp
+
+    for seed in (11, 12, 13):
+        spec = bb.build_scenario(rarity, "moderate", 150, seed)
+        ds = bb.generate_dataset(spec, bb.replication_rng(spec, 0))
+        bw = bb.kom_weights(ds.X, ds.T, ds.Y, "ATE")
+        assert bw.diagnostics["solver_status"] == "optimal"
+        # the joint block-diagonal QP over all n coordinates
+        K = gram_matrix(KernelSpec("gaussian", bw.diagnostics["kernel_scale"]), ds.X)
+        treated, control = np.nonzero(ds.T == 1.0)[0], np.nonzero(ds.T == 0.0)[0]
+        Q = np.zeros((ds.n, ds.n))
+        for group, lam in ((control, bw.diagnostics["ridge_control"]),
+                           (treated, bw.diagnostics["ridge_treated"])):
+            Q[np.ix_(group, group)] = 2.0 * (K[np.ix_(group, group)] + lam * np.eye(group.size))
+        c = -(2.0 / ds.n) * K.sum(axis=0)
+        joint = solve_qp(QuadraticProgram(Q, c, ((tuple(treated), 1.0), (tuple(control), 1.0))))
+        assert joint.status == "optimal"
+        np.testing.assert_allclose(bw.values, joint.w, rtol=0, atol=1e-8)
+
+
+def test_kom_ate_certified_only_when_both_group_qps_are(monkeypatch):
+    spec = bb.build_scenario("common", "moderate", 120, 10)
+    ds = bb.generate_dataset(spec, bb.replication_rng(spec, 0))
+    real = weights.solve_qp
+    solved = []
+
+    def solve(qp, *args, **kwargs):
+        sol = real(qp, *args, **kwargs)
+        if qp.n == ds.n1:
+            sol = dataclasses.replace(sol, status="max_iter", kkt_residual=1.0, diagonal_shift=0.5)
+        solved.append(sol)
+        return sol
+
+    monkeypatch.setattr(weights, "solve_qp", solve)
+    bw = bb.kom_weights(ds.X, ds.T, ds.Y, "ATE")
+    assert [s.w.size for s in solved] == [ds.n0, ds.n1]
+    assert bw.diagnostics["solver_status"] == "max_iter"
+    assert bw.diagnostics["solver_iterations"] == sum(s.iterations for s in solved)
+    assert bw.diagnostics["kkt_residual"] == 1.0
+    assert bw.diagnostics["diagonal_shift"] == 0.5
+
+
 def test_kom_ate_group_sums():
     spec = bb.build_scenario("common", "moderate", 120, 10)
     ds = bb.generate_dataset(spec, bb.replication_rng(spec, 0))
