@@ -9,6 +9,7 @@ import time
 
 from .errors import BalanceBenchError, ConfigError
 from .harness import (
+    CONFIG_KEYS,
     WORKERS_ENV_VAR,
     config_from_mapping,
     emit_results,
@@ -16,57 +17,28 @@ from .harness import (
     run,
     summarize,
 )
-from .scenarios import CONFOUNDING_LEVELS, RARITY_LEVELS
-from .weights import POSTPROCS
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """--config plus one flag per configuration key; values stay text until config_from_mapping."""
     p = argparse.ArgumentParser(
         prog="balancebench",
         description="Run covariate-balancing benchmark scenarios and write metric tables.",
     )
     p.add_argument("--config", metavar="PATH", help="key = value configuration file")
-    p.add_argument("--grid", action=argparse.BooleanOptionalAction, default=None,
-                   help="run all 36 benchmark scenarios")
-    p.add_argument("--n", type=int, help="sample size for a single scenario")
-    p.add_argument("--rarity", choices=RARITY_LEVELS)
-    p.add_argument("--confounding", choices=CONFOUNDING_LEVELS)
-    p.add_argument("--reps", type=int, help="replications per scenario")
-    p.add_argument("--methods", help="comma-separated subset of iptw,eb,kom,tlf")
-    p.add_argument("--learners", help="comma-separated subset of oracle,logistic_well,logistic_mis")
-    p.add_argument("--estimators", help="comma-separated subset of WA,AWA,OLS")
-    p.add_argument("--estimands", help="comma-separated subset of ATE,ATT")
-    p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--out", metavar="DIR", help="output directory (required)")
-    p.add_argument("--postproc", choices=POSTPROCS, help="IPTW weight post-processing")
-    p.add_argument("--workers", type=int, help=f"worker count (default: ${WORKERS_ENV_VAR} or 1)")
-    p.add_argument("--emit-raw", action=argparse.BooleanOptionalAction, default=None,
-                   help="also write per-replication records.ndjson")
-    p.add_argument("--crude", action=argparse.BooleanOptionalAction, default=None,
-                   help="also record the crude (unweighted) estimator per replication")
-    p.add_argument("--dump-weights", action=argparse.BooleanOptionalAction, default=None,
-                   help="debug: export weight vectors per replication")
+    for key, entry in CONFIG_KEYS.items():
+        action = argparse.BooleanOptionalAction if entry.kind == "bool" else "store"
+        p.add_argument(f"--{key.replace('_', '-')}", action=action, help=entry.help)
     return p
 
 
 def _cli_mapping(args: argparse.Namespace) -> dict:
-    mapping = {}
-    if args.grid is not None:
-        mapping["grid"] = str(args.grid).lower()
-    for key, value in (
-        ("n", args.n), ("rarity", args.rarity), ("confounding", args.confounding),
-        ("reps", args.reps), ("methods", args.methods), ("learners", args.learners),
-        ("estimators", args.estimators), ("estimands", args.estimands),
-        ("seed", args.seed), ("out", args.out), ("postproc", args.postproc),
-        ("workers", args.workers),
-    ):
-        if value is not None:
-            mapping[key] = str(value)
-    for key, value in (("emit_raw", args.emit_raw), ("crude", args.crude),
-                       ("dump_weights", args.dump_weights)):
-        if value is not None:
-            mapping[key] = str(value).lower()
-    return mapping
+    """The configuration keys given on the command line, as config-file text."""
+    return {
+        key: str(value).lower() if isinstance(value, bool) else value
+        for key in CONFIG_KEYS
+        if (value := getattr(args, key)) is not None
+    }
 
 
 def cli_main(argv=None) -> int:

@@ -14,6 +14,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .learners import fit_learner
 from .scenarios import (
     CONFOUNDING_LEVELS,
     HYPER_STREAM,
+    MIN_SAMPLE_SIZE,
     RARITY_LEVELS,
     ScenarioSpec,
     build_scenario,
@@ -91,6 +93,8 @@ class RunConfig:
             n, rarity, confounding = item
             if rarity not in RARITY_LEVELS or confounding not in CONFOUNDING_LEVELS:
                 raise ConfigError(f"unknown scenario labels in {item!r}")
+            if int(n) < MIN_SAMPLE_SIZE:
+                raise ConfigError(f"sample size must be >= {MIN_SAMPLE_SIZE}, got {n}")
             scenarios.append((int(n), rarity, confounding))
         if not scenarios:
             raise ConfigError("at least one scenario must be selected")
@@ -107,7 +111,9 @@ class RunConfig:
             raise ConfigError("replications must be >= 1")
         object.__setattr__(self, "replications", int(self.replications))
         object.__setattr__(self, "master_seed", int(self.master_seed))
-        object.__setattr__(self, "workers", max(1, int(self.workers)))
+        if int(self.workers) < 1:
+            raise ConfigError("workers must be >= 1")
+        object.__setattr__(self, "workers", int(self.workers))
 
     def cells(self) -> list[tuple[str, str | None]]:
         """(method, learner) pairs: IPTW crosses with learners, the rest carry none."""
@@ -170,34 +176,28 @@ class MetricsSummary:
     coverage: float | None
 
 
-def _sort_key(position_of):
-    def key(record_or_summary):
-        r = record_or_summary
-        return (
-            r.scenario_n,
-            RARITY_LEVELS.index(r.rarity),
-            CONFOUNDING_LEVELS.index(r.confounding),
-            getattr(r, "replication", 0),
-            position_of("estimator", r.estimator),
-            position_of("method", r.method),
-            position_of("learner", r.learner),
-            ESTIMANDS.index(r.estimand) if r.estimand in ESTIMANDS else 99,
-        )
-
-    return key
+_ESTIMATOR_ORDER = CANONICAL_ESTIMATORS + ("crude",)
+_METHOD_ORDER = METHODS + ("crude",)
+_LEARNER_ORDER = CANONICAL_LEARNERS + ("-",)
 
 
-def _position(kind, value):
-    orders = {
-        "estimator": CANONICAL_ESTIMATORS + ("crude",),
-        "method": METHODS + ("crude",),
-        "learner": CANONICAL_LEARNERS + ("-",),
-    }
-    order = orders[kind]
+def _position(order, value) -> int:
     return order.index(value) if value in order else len(order)
 
 
-RECORD_SORT_KEY = _sort_key(_position)
+def _sort_key(r) -> tuple:
+    """Canonical order of records and summaries: scenario, replication, then
+    estimator, method, learner and estimand; unknown labels sort last."""
+    return (
+        r.scenario_n,
+        RARITY_LEVELS.index(r.rarity),
+        CONFOUNDING_LEVELS.index(r.confounding),
+        getattr(r, "replication", 0),
+        _position(_ESTIMATOR_ORDER, r.estimator),
+        _position(_METHOD_ORDER, r.method),
+        _position(_LEARNER_ORDER, r.learner),
+        _position(ESTIMANDS, r.estimand),
+    )
 
 
 def _reason_from(exc: Exception) -> str:
@@ -363,11 +363,8 @@ def tlf_hyperparameters(spec: ScenarioSpec, config: RunConfig) -> dict:
     if "tlf" not in config.methods:
         return {}
     ds = generate_dataset(spec, replication_rng(spec, HYPER_STREAM, config.master_seed))
-    hyper = {}
-    for estimand in config.estimands:
-        lam, gamma = select_tlf_hyper(ds.X, ds.T, estimand)
-        hyper[estimand] = {"lambda": lam, "gamma": gamma}
-    return hyper
+    selected = select_tlf_hyper(ds.X, ds.T, config.estimands)
+    return {estimand: {"lambda": lam, "gamma": gamma} for estimand, (lam, gamma) in selected.items()}
 
 
 def _worker(args):
@@ -391,7 +388,7 @@ def run_scenario(config: RunConfig, scenario) -> list[ReplicationRecord]:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             batches = list(pool.map(_worker, tasks, chunksize=chunk))
     records = [r for batch in batches for r in batch]
-    records.sort(key=RECORD_SORT_KEY)
+    records.sort(key=_sort_key)
     expected = config.replications * len(config.cells()) * len(config.estimators) * len(config.estimands)
     if config.crude:
         expected += config.replications
@@ -443,7 +440,7 @@ def summarize(records, truth: float = 0.0, bound=(-1.0, 1.0)) -> list[MetricsSum
         summaries.append(
             MetricsSummary(*key, len(rs), m / len(rs), bias, mae, spread, var, rmse_truth, coverage)
         )
-    summaries.sort(key=_sort_key(_position))
+    summaries.sort(key=_sort_key)
     return summaries
 
 
@@ -469,11 +466,33 @@ def coverage_rate(records, truth: float = 0.0) -> float:
 # Configuration text format and result emission
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = (
-    "grid", "scenarios", "n", "rarity", "confounding", "reps", "methods", "learners",
-    "estimators", "estimands", "postproc", "seed", "out", "workers", "emit_raw",
-    "crude", "dump_weights",
-)
+class ConfigKey(NamedTuple):
+    field: str | None  # the RunConfig field it sets; None for the scenario-selection keys
+    kind: str  # "int", "str", "list" (comma-separated) or "bool"
+    help: str
+
+
+# Every run setting: a `key = value` line of a config file and of manifest.txt,
+# and the CLI flag --key (with '-' for '_'). RunConfig holds the defaults.
+CONFIG_KEYS = {
+    "grid": ConfigKey(None, "bool", "run all 36 benchmark scenarios"),
+    "scenarios": ConfigKey(None, "str", "semicolon-separated n:rarity:confounding triples"),
+    "n": ConfigKey(None, "int", "sample size for a single scenario"),
+    "rarity": ConfigKey(None, "str", f"treatment rarity: {', '.join(RARITY_LEVELS)}"),
+    "confounding": ConfigKey(None, "str", f"confounding strength: {', '.join(CONFOUNDING_LEVELS)}"),
+    "reps": ConfigKey("replications", "int", "replications per scenario"),
+    "methods": ConfigKey("methods", "list", f"comma-separated subset of {','.join(METHODS)}"),
+    "learners": ConfigKey("learners", "list", f"comma-separated subset of {','.join(CANONICAL_LEARNERS)}"),
+    "estimators": ConfigKey("estimators", "list", f"comma-separated subset of {','.join(CANONICAL_ESTIMATORS)}"),
+    "estimands": ConfigKey("estimands", "list", f"comma-separated subset of {','.join(ESTIMANDS)}"),
+    "postproc": ConfigKey("iptw_postproc", "str", f"IPTW weight post-processing: {', '.join(POSTPROCS)}"),
+    "seed": ConfigKey("master_seed", "int", "master seed"),
+    "out": ConfigKey("output_path", "str", "output directory (required)"),
+    "workers": ConfigKey("workers", "int", f"worker count (default: ${WORKERS_ENV_VAR} or 1)"),
+    "emit_raw": ConfigKey("emit_raw", "bool", "also write per-replication records.ndjson"),
+    "crude": ConfigKey("crude", "bool", "also record the crude (unweighted) estimator per replication"),
+    "dump_weights": ConfigKey("dump_weights", "bool", "debug: export weight vectors per replication"),
+}
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
@@ -489,99 +508,81 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown configuration key {key!r}")
         mapping[key] = value
     return mapping
 
 
-def _parse_bool(value: str, key: str) -> bool:
-    v = value.strip().lower()
-    if v in _TRUE:
-        return True
-    if v in _FALSE:
-        return False
-    raise ConfigError(f"{key} expects a boolean, got {value!r}")
+def _parse_value(key: str, kind: str, text: str):
+    """The value of one setting from its text, whether it came from a file, the CLI or the environment."""
+    if kind == "int":
+        try:
+            return int(text)
+        except ValueError:
+            raise ConfigError(f"{key} expects an integer, got {text!r}") from None
+    if kind == "bool":
+        word = text.strip().lower()
+        if word not in _TRUE | _FALSE:
+            raise ConfigError(f"{key} expects a boolean, got {text!r}")
+        return word in _TRUE
+    if kind == "list":
+        return tuple(x.strip() for x in text.split(",") if x.strip())
+    return text
 
 
-def config_from_mapping(mapping: dict) -> RunConfig:
-    """Build a RunConfig from string key/value pairs (config file or CLI)."""
-    mapping = dict(mapping)
-    unknown = set(mapping) - set(_CONFIG_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown configuration keys: {', '.join(sorted(unknown))}")
-
-    use_grid = _parse_bool(mapping["grid"], "grid") if "grid" in mapping else False
-    explicit = [k for k in ("n", "rarity", "confounding", "scenarios") if k in mapping]
-    if use_grid and explicit:
-        raise ConfigError("grid conflicts with explicit scenario selection")
-    if use_grid:
-        scenarios = tuple((s.n, s.rarity, s.confounding) for s in grid_scenarios())
-    elif "scenarios" in mapping:
+def _select_scenarios(values: dict) -> tuple:
+    """Scenarios from grid = true, from scenarios = n:rarity:confounding;..., or from n, rarity and confounding."""
+    if values.get("grid"):
+        if any(k in values for k in ("n", "rarity", "confounding", "scenarios")):
+            raise ConfigError("grid conflicts with explicit scenario selection")
+        return tuple((s.n, s.rarity, s.confounding) for s in grid_scenarios())
+    if "scenarios" in values:
         scenarios = []
-        for part in mapping["scenarios"].split(";"):
-            part = part.strip()
-            if not part:
-                continue
+        for part in filter(None, (p.strip() for p in values["scenarios"].split(";"))):
             bits = part.split(":")
             if len(bits) != 3:
                 raise ConfigError(f"bad scenario triple {part!r}; expected n:rarity:confounding")
-            scenarios.append((int(bits[0]), bits[1], bits[2]))
-        scenarios = tuple(scenarios)
-    else:
-        missing = [k for k in ("n", "rarity", "confounding") if k not in mapping]
-        if missing:
-            raise ConfigError(
-                "select scenarios via grid=true, scenarios=..., or all of n/rarity/confounding "
-                f"(missing {', '.join(missing)})"
-            )
-        scenarios = ((int(mapping["n"]), mapping["rarity"], mapping["confounding"]),)
-
-    def split_list(key, default):
-        if key not in mapping:
-            return default
-        return tuple(x.strip() for x in mapping[key].split(",") if x.strip())
-
-    try:
-        return RunConfig(
-            scenarios=scenarios,
-            replications=int(mapping.get("reps", 5000)),
-            methods=split_list("methods", METHODS),
-            learners=split_list("learners", CANONICAL_LEARNERS),
-            estimators=split_list("estimators", CANONICAL_ESTIMATORS),
-            estimands=split_list("estimands", ESTIMANDS),
-            iptw_postproc=mapping.get("postproc", "trim99"),
-            master_seed=int(mapping.get("seed", 0)),
-            workers=int(mapping.get("workers", 1)),
-            output_path=mapping.get("out"),
-            emit_raw=_parse_bool(mapping.get("emit_raw", "false"), "emit_raw"),
-            crude=_parse_bool(mapping.get("crude", "false"), "crude"),
-            dump_weights=_parse_bool(mapping.get("dump_weights", "false"), "dump_weights"),
+            scenarios.append((_parse_value("scenarios", "int", bits[0]), bits[1], bits[2]))
+        return tuple(scenarios)
+    missing = [k for k in ("n", "rarity", "confounding") if k not in values]
+    if missing:
+        raise ConfigError(
+            "select scenarios via grid=true, scenarios=..., or all of n/rarity/confounding "
+            f"(missing {', '.join(missing)})"
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ((values["n"], values["rarity"], values["confounding"]),)
+
+
+def config_from_mapping(mapping: dict) -> RunConfig:
+    """Build a RunConfig from string key/value pairs (config file or CLI); keys
+    left out keep RunConfig's defaults."""
+    unknown = set(mapping) - set(CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown configuration keys: {', '.join(sorted(unknown))}")
+    values = {key: _parse_value(key, CONFIG_KEYS[key].kind, text) for key, text in mapping.items()}
+    fields = {CONFIG_KEYS[key].field: v for key, v in values.items() if CONFIG_KEYS[key].field}
+    return RunConfig(scenarios=_select_scenarios(values), **fields)
+
+
+def _format_value(kind: str, value) -> str:
+    if kind == "list":
+        return ",".join(value)
+    return str(value).lower() if kind == "bool" else str(value)
 
 
 def config_to_text(config: RunConfig) -> str:
-    """Config echo in the same key=value format parse_config_text accepts."""
-    grid = tuple((s.n, s.rarity, s.confounding) for s in grid_scenarios())
-    lines = []
-    if config.scenarios == grid:
-        lines.append("grid = true")
+    """Config echo in the same key=value format parse_config_text accepts,
+    without the output directory."""
+    if config.scenarios == tuple((s.n, s.rarity, s.confounding) for s in grid_scenarios()):
+        lines = ["grid = true"]
     else:
-        triples = ";".join(f"{n}:{r}:{c}" for n, r, c in config.scenarios)
-        lines.append(f"scenarios = {triples}")
-    lines.append(f"reps = {config.replications}")
-    lines.append(f"methods = {','.join(config.methods)}")
-    lines.append(f"learners = {','.join(config.learners)}")
-    lines.append(f"estimators = {','.join(config.estimators)}")
-    lines.append(f"estimands = {','.join(config.estimands)}")
-    lines.append(f"postproc = {config.iptw_postproc}")
-    lines.append(f"seed = {config.master_seed}")
-    lines.append(f"workers = {config.workers}")
-    lines.append(f"emit_raw = {str(config.emit_raw).lower()}")
-    lines.append(f"crude = {str(config.crude).lower()}")
-    lines.append(f"dump_weights = {str(config.dump_weights).lower()}")
+        lines = ["scenarios = " + ";".join(f"{n}:{r}:{c}" for n, r, c in config.scenarios)]
+    lines += [
+        f"{key} = {_format_value(entry.kind, getattr(config, entry.field))}"
+        for key, entry in CONFIG_KEYS.items()
+        if entry.field not in (None, "output_path")
+    ]
     return "\n".join(lines) + "\n"
 
 

@@ -8,6 +8,7 @@ propensity scores (penalized scoring-rule maximization in an RKHS).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -449,34 +450,31 @@ def _tlf_fit_gram(K, T, estimand, lam, kernel, max_iter=50, gtol=1e-6) -> TlfMod
     return TlfModel(alpha, intercept, kernel, lam, K, gnorm < gtol, iterations, gnorm)
 
 
-def tlf_predict(model: TlfModel, X: np.ndarray, train_X: np.ndarray | None = None) -> np.ndarray:
-    """Fitted propensities; with train_X given, evaluates on new rows."""
-    if train_X is None:
-        eta = model.intercept + model.gram @ model.alpha
-    else:
-        cross = gram_matrix(model.kernel, np.atleast_2d(X), np.atleast_2d(train_X))
-        eta = model.intercept + cross @ model.alpha
-    return np.clip(expit(eta), 1e-12, 1.0 - 1e-12)
+def tlf_predict(model: TlfModel) -> np.ndarray:
+    """Fitted propensities at the rows the model was fitted on."""
+    return np.clip(expit(model.intercept + model.gram @ model.alpha), 1e-12, 1.0 - 1e-12)
 
 
 def select_tlf_hyper(
     X: np.ndarray,
     T: np.ndarray,
-    estimand: str,
+    estimands,
     lambdas=TLF_LAMBDA_GRID,
     gammas=TLF_GAMMA_GRID,
     folds: int = 5,
-) -> tuple[float, float]:
-    """Pick (lambda, gamma) by 5-fold cross-validated mean tailored score."""
+) -> dict:
+    """(lambda, gamma) for each estimand, picked by 5-fold cross-validated mean
+    tailored score; each gamma's Gram matrix is built once for all estimands."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     T = np.asarray(T, dtype=float)
     n = T.size
     fold_id = np.arange(n) % folds
-    best = (float(lambdas[0]), float(gammas[0]))
-    best_score = -np.inf
+    best = {estimand: (float(lambdas[0]), float(gammas[0])) for estimand in estimands}
+    best_score = dict.fromkeys(estimands, -np.inf)
     for gamma in gammas:
-        K = gram_matrix(KernelSpec("laplacian", gamma), X)
-        for lam in lambdas:
+        kernel = KernelSpec("laplacian", gamma)
+        K = gram_matrix(kernel, X)
+        for estimand, lam in itertools.product(estimands, lambdas):
             fold_scores = []
             for f in range(folds):
                 test = fold_id == f
@@ -485,7 +483,7 @@ def select_tlf_hyper(
                 if t_train.min() == t_train.max():
                     continue
                 K_tr = K[np.ix_(train, train)]
-                model = _tlf_fit_gram(K_tr, t_train, estimand, lam, KernelSpec("laplacian", gamma))
+                model = _tlf_fit_gram(K_tr, t_train, estimand, lam, kernel)
                 if not model.converged:
                     # an uncertified fold fit makes the whole grid point ineligible
                     fold_scores = []
@@ -496,9 +494,9 @@ def select_tlf_hyper(
             if not fold_scores:
                 continue
             score = float(np.mean(fold_scores))
-            if score > best_score:
-                best_score = score
-                best = (float(lam), float(gamma))
+            if score > best_score[estimand]:
+                best_score[estimand] = score
+                best[estimand] = (float(lam), float(gamma))
     return best
 
 
@@ -519,12 +517,12 @@ def tlf_weights(
     if _rows_all_identical(X):
         return _uniform_weights(T, estimand, "tlf")
     if hyper is None:
-        lam, gamma = select_tlf_hyper(X, T, estimand)
+        lam, gamma = select_tlf_hyper(X, T, (estimand,))[estimand]
     else:
         lam, gamma = float(hyper["lambda"]), float(hyper["gamma"])
 
     model = tlf_fit(X, T, estimand, lam, gamma, geometry=geometry)
-    p = tlf_predict(model, X)
+    p = tlf_predict(model)
     n = T.size
     n1 = treated.size
     if estimand == "ATE":

@@ -1,9 +1,17 @@
+import dataclasses
 import os
 
 import pytest
 
-from balancebench.cli import cli_main
-from balancebench.harness import WORKERS_ENV_VAR
+from balancebench.cli import _cli_mapping, build_parser, cli_main
+from balancebench.harness import (
+    CONFIG_KEYS,
+    WORKERS_ENV_VAR,
+    RunConfig,
+    config_from_mapping,
+    config_to_text,
+    parse_config_text,
+)
 
 
 def run_cli(args):
@@ -94,3 +102,82 @@ def test_crude_debug_mode(tmp_path):
     assert code == 0
     text = (out / "summary.csv").read_text()
     assert "crude" in text
+
+
+# a small run, so that a bad value that gets through fails quickly
+SMALL = ["--reps", "1", "--methods", "iptw", "--learners", "oracle", "--estimators", "WA", "--estimands", "ATE"]
+
+
+def test_bad_config_file_values_exit_2(tmp_path, capsys):
+    for body in ("n = abc\nrarity = common\nconfounding = low\n", "scenarios = x:common:low\n",
+                 "n = 250\nrarity = common\nconfounding = low\nworkers = 0\n"):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(body + "reps = 1\nmethods = iptw\nlearners = oracle\nestimators = WA\nestimands = ATE\n")
+        assert run_cli(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_bad_flag_values_exit_2(tmp_path, capsys):
+    single = ["--rarity", "common", "--confounding", "low", "--out", str(tmp_path / "o")] + SMALL
+    for flags in (["--n", "10"], ["--n", "abc"], ["--n", "250", "--workers", "0"],
+                  ["--n", "250", "--workers", "-1"], ["--n", "250", "--postproc", "clip"]):
+        assert run_cli(flags + single) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_nonpositive_workers_env_var_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(WORKERS_ENV_VAR, "0")
+    code = run_cli(["--n", "250", "--rarity", "common", "--confounding", "low", "--out", str(tmp_path)] + SMALL)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: workers")
+
+
+# every configuration field away from its default
+NON_DEFAULT_CONFIG = RunConfig(
+    scenarios=((100, "rare", "high"), (150, "very_rare", "low")),
+    replications=7,
+    methods=("eb", "tlf"),
+    learners=("logistic_mis",),
+    estimators=("AWA",),
+    estimands=("ATT",),
+    iptw_postproc="hajek",
+    master_seed=42,
+    workers=3,
+    output_path="results",
+    emit_raw=True,
+    crude=True,
+    dump_weights=True,
+)
+
+
+def test_non_default_config_sets_every_table_field():
+    defaults = RunConfig(scenarios=NON_DEFAULT_CONFIG.scenarios)
+    for key, entry in CONFIG_KEYS.items():
+        if entry.field is not None:
+            assert getattr(NON_DEFAULT_CONFIG, entry.field) != getattr(defaults, entry.field), key
+
+
+def test_config_text_round_trips_every_field():
+    text = config_to_text(NON_DEFAULT_CONFIG)
+    replay = config_from_mapping(parse_config_text(text))
+    assert replay == dataclasses.replace(NON_DEFAULT_CONFIG, output_path=None)
+
+
+def test_flags_round_trip_every_field():
+    flags = [
+        "--scenarios", "100:rare:high;150:very_rare:low", "--reps", "7", "--methods", "eb,tlf",
+        "--learners", "logistic_mis", "--estimators", "AWA", "--estimands", "ATT",
+        "--postproc", "hajek", "--seed", "42", "--workers", "3", "--out", "results",
+        "--emit-raw", "--crude", "--dump-weights",
+    ]
+    assert config_from_mapping(_cli_mapping(build_parser().parse_args(flags))) == NON_DEFAULT_CONFIG
+
+
+def test_parser_has_one_option_per_config_key():
+    options = [a.option_strings for a in build_parser()._actions if a.dest != "help"]
+    flags = {f"--{key.replace('_', '-')}" for key in CONFIG_KEYS}
+    assert len(options) == len(CONFIG_KEYS) + 1
+    assert {opts[0] for opts in options} == flags | {"--config"}

@@ -445,3 +445,34 @@ def test_replication_drops_geometry_arrays_once_read(monkeypatch):
     run_replication(bb.build_scenario("common", "moderate", 250, 5), 0, config, FIXED_TLF_HYPER)
     assert held == {"gaussian": ["distances"], "laplacian": []}
     assert not any(isinstance(v, np.ndarray) for v in made[0]._memo.values())
+
+
+def test_tlf_selection_builds_each_gram_once_for_both_estimands(monkeypatch):
+    log = []
+    count_calls(monkeypatch, weights, "gram_matrix", log)
+    config = RunConfig(scenarios=((250, "common", "moderate"),), methods=("tlf",), master_seed=5)
+    spec = bb.build_scenario("common", "moderate", 250, 5)
+    hyper = harness.tlf_hyperparameters(spec, config)
+    assert set(hyper) == {"ATE", "ATT"}
+    assert sorted(args[0].scale for _, args, _ in log) == sorted(weights.TLF_GAMMA_GRID)
+
+
+def test_joint_tlf_selection_equals_selection_per_estimand():
+    spec = bb.build_scenario("rare", "high", 120, 4)
+    ds = bb.generate_dataset(spec, bb.replication_rng(spec, 0))
+    grid = dict(lambdas=(1e-3, 1e-2, 1e-1), gammas=(0.5, 1.0), folds=3)
+    joint = weights.select_tlf_hyper(ds.X, ds.T, ("ATE", "ATT"), **grid)
+    assert joint == {e: weights.select_tlf_hyper(ds.X, ds.T, (e,), **grid)[e] for e in ("ATE", "ATT")}
+
+
+def test_bad_values_raise_config_error():
+    base = {"n": "250", "rarity": "common", "confounding": "low"}
+    for key, value in (("reps", "1.5"), ("workers", "-2"), ("crude", "maybe"), ("rarity", "often")):
+        with pytest.raises(ConfigError):
+            config_from_mapping({**base, key: value})
+    for triple in ("10:common:low", "250:common"):
+        with pytest.raises(ConfigError):
+            config_from_mapping({"scenarios": triple})
+    for kw in ({"workers": 0}, {"scenarios": ((19, "common", "low"),)}):
+        with pytest.raises(ConfigError):
+            small_config(**kw)

@@ -398,7 +398,7 @@ def test_tlf_rejects_nonpositive_penalty():
         with pytest.raises(ValueError):
             tlf_fit(ds.X, ds.T, "ATT", lam=lam, gamma=0.5)
     with pytest.raises(ValueError):
-        select_tlf_hyper(ds.X, ds.T, "ATE", lambdas=(0.0,), gammas=(0.5,), folds=3)
+        select_tlf_hyper(ds.X, ds.T, ("ATE",), lambdas=(0.0,), gammas=(0.5,), folds=3)
 
 
 def test_tlf_weight_sums():
@@ -428,15 +428,16 @@ def test_tlf_recovers_constant_propensity():
     X = bb.sample_covariates(1000, rng)
     T = (rng.random(1000) < 0.3).astype(float)
     model = tlf_fit(X, T, "ATE", lam=1e-1, gamma=0.5)
-    p = tlf_predict(model, X)
+    p = tlf_predict(model)
     assert np.max(np.abs(p - T.mean())) < 0.05
 
 
 def test_tlf_hyper_selection_is_deterministic_and_on_grid():
     spec = bb.build_scenario("common", "low", 120, 4)
     ds = bb.generate_dataset(spec, bb.replication_rng(spec, 0))
-    lam, gamma = select_tlf_hyper(ds.X, ds.T, "ATE", lambdas=(1e-3, 1e-2), gammas=(0.5, 1.0), folds=3)
-    lam2, gamma2 = select_tlf_hyper(ds.X, ds.T, "ATE", lambdas=(1e-3, 1e-2), gammas=(0.5, 1.0), folds=3)
+    grid = dict(lambdas=(1e-3, 1e-2), gammas=(0.5, 1.0), folds=3)
+    lam, gamma = select_tlf_hyper(ds.X, ds.T, ("ATE",), **grid)["ATE"]
+    lam2, gamma2 = select_tlf_hyper(ds.X, ds.T, ("ATE",), **grid)["ATE"]
     assert (lam, gamma) == (lam2, gamma2)
     assert lam in (1e-3, 1e-2) and gamma in (0.5, 1.0)
 
@@ -445,7 +446,7 @@ def test_tlf_hyper_selection_skips_uncertified_points(monkeypatch):
     spec = bb.build_scenario("common", "low", 120, 4)
     ds = bb.generate_dataset(spec, bb.replication_rng(spec, 0))
     grid = dict(lambdas=(1e-3, 1e-2), gammas=(0.5, 1.0), folds=3)
-    best = select_tlf_hyper(ds.X, ds.T, "ATE", **grid)
+    best = select_tlf_hyper(ds.X, ds.T, ("ATE",), **grid)["ATE"]
     real = weights._tlf_fit_gram
 
     def fit(K, T, estimand, lam, kernel, *args):
@@ -454,7 +455,7 @@ def test_tlf_hyper_selection_skips_uncertified_points(monkeypatch):
         return dataclasses.replace(model, converged=model.converged and not uncertified)
 
     monkeypatch.setattr(weights, "_tlf_fit_gram", fit)
-    again = select_tlf_hyper(ds.X, ds.T, "ATE", **grid)
+    again = select_tlf_hyper(ds.X, ds.T, ("ATE",), **grid)["ATE"]
     assert again != best
     assert again[0] in grid["lambdas"] and again[1] in grid["gammas"]
 
