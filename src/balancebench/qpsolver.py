@@ -1,11 +1,16 @@
 """Deterministic solver for convex quadratic programs with nonnegativity and
 group-sum equality constraints.
 
-The iteration alternates a proximal quadratic (gradient) step with projection
-onto the scaled simplex of each equality block, plus an exact line search along
-the projected direction and a periodic active-set polish that solves the KKT
-system on the currently-free coordinates. Everything is deterministic: fixed
-iteration order, no randomized pivoting.
+A solve first runs block active-set pivoting (Judice & Pires 1994) from the
+all-free face: solve the face's KKT system, drop every negative coordinate,
+or else release every zeroed coordinate whose reduced gradient is negative.
+The point it ends on is accepted only when the reduced Hessian on its face
+has a Cholesky factor and a fresh fixed-point (KKT) residual is within
+tolerance. Otherwise the solve falls back to projected-gradient iteration:
+a proximal quadratic step with projection onto the scaled simplex of each
+equality block, an exact line search along the projected direction and a
+periodic active-set polish. Everything is deterministic: fixed iteration
+order, no randomized pivoting.
 """
 
 from __future__ import annotations
@@ -19,7 +24,10 @@ STATUS_MAX_ITER = "max_iter"
 STATUS_INFEASIBLE = "infeasible"
 
 _FREE_EPS = 1e-12
+_NEGATIVE = -1e-11  # a KKT coordinate below this leaves the face
+_RELEASE = -1e-10  # a zeroed coordinate with reduced gradient below this joins it
 _POLISH_EVERY = 25
+_PIVOT_ROUNDS = 20
 
 
 @dataclass(frozen=True)
@@ -168,20 +176,35 @@ def _kkt_solve(free, Qs, c, qp):
     return cand, lams
 
 
-def _polish(w, Qs, c, qp, objective, rounds: int = 3, tol: float = 1e-10):
+def _reduced_gradient(g, lams, qp):
+    reduced = g.copy()
+    covered = qp.block_of >= 0
+    reduced[covered] -= lams[qp.block_of[covered]]
+    return reduced
+
+
+def _natural_residual(w, g, qp) -> float:
+    # Unit-step fixed-point residual; zero exactly at KKT points.
+    return float(np.max(np.abs(w - _project_feasible(w - g, qp))))
+
+
+def _polish(w, Qs, c, qp, objective, rounds: int = 3):
     """Active-set refinement: repeatedly solve the KKT system on the free set,
     dropping negative coordinates and releasing dual-infeasible ones. Only
-    feasible candidates that do not increase the objective are accepted."""
+    feasible candidates that do not increase the objective are accepted.
+    Returns the point and the number of KKT solves."""
     best = w
     best_obj = objective(w)
     free = np.nonzero(w > _FREE_EPS)[0]
+    solves = 0
     for _ in range(rounds):
         if free.size == 0:
             break
         cand, lams = _kkt_solve(free, Qs, c, qp)
+        solves += 1
         if cand is None:
             break
-        negative = cand.min() < -1e-11
+        negative = cand.min() < _NEGATIVE
         feasible = _project_feasible(cand, qp)
         feas_obj = objective(feasible)
         improved = feas_obj <= best_obj + 1e-12 * (1.0 + abs(best_obj))
@@ -193,19 +216,68 @@ def _polish(w, Qs, c, qp, objective, rounds: int = 3, tol: float = 1e-10):
             free = free[free != worst]
             continue
         # dual feasibility on the active bound
-        g = Qs @ feasible + c
-        reduced = g.copy()
-        covered = qp.block_of >= 0
-        reduced[covered] -= lams[qp.block_of[covered]]
+        reduced = _reduced_gradient(Qs @ feasible + c, lams, qp)
         zeroed = np.nonzero(feasible <= _FREE_EPS)[0]
-        viol = zeroed[reduced[zeroed] < -tol]
+        viol = zeroed[reduced[zeroed] < _RELEASE]
         if viol.size == 0:
             if improved:
-                return feasible  # KKT-certified on this working set
+                return feasible, solves  # KKT-certified on this working set
             break
         release = int(viol[np.argmin(reduced[viol])])
         free = np.unique(np.append(np.nonzero(feasible > _FREE_EPS)[0], release))
-    return best
+    return best, solves
+
+
+def _face_is_convex(Q, free, qp) -> bool:
+    """Whether Q restricted to the face's feasible directions, the null space
+    of the block-sum rows on the free coordinates, has a Cholesky factor.
+
+    The basis pairs each free coordinate of a block with the block's last
+    free coordinate, so Z'QZ is formed by column and row differences."""
+    M = Q[np.ix_(free, free)]
+    free_block = qp.block_of[free]
+    keep = np.ones(free.size, dtype=bool)
+    for k in range(len(qp.blocks)):
+        members = np.nonzero(free_block == k)[0]
+        if members.size == 0:
+            continue
+        last, rest = members[-1], members[:-1]
+        M[:, rest] -= M[:, [last]]
+        M[rest, :] -= M[[last], :]
+        keep[last] = False
+    try:
+        np.linalg.cholesky(M[np.ix_(keep, keep)])
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _pivot(Q, qp, rounds: int):
+    """Block active-set pivoting from the all-free face: solve the face's KKT
+    system, then drop every negative coordinate or, if there is none, release
+    every zeroed coordinate whose reduced gradient is negative.
+
+    Returns the KKT point of the final face, or None when the rounds run out,
+    a block loses all its coordinates or the face is not strictly convex;
+    and the number of KKT solves."""
+    free = np.arange(qp.n)
+    for solves in range(1, rounds + 1):
+        cand, lams = _kkt_solve(free, Q, qp.c, qp)
+        if cand is None:
+            return None, solves
+        negative = cand[free] < _NEGATIVE
+        if negative.any():
+            free = free[~negative]
+            continue
+        w = _project_feasible(cand, qp)
+        reduced = _reduced_gradient(Q @ w + qp.c, lams, qp)
+        zeroed = np.nonzero(w <= _FREE_EPS)[0]
+        release = zeroed[reduced[zeroed] < _RELEASE]
+        if release.size:
+            free = np.union1d(np.nonzero(w > _FREE_EPS)[0], release)
+            continue
+        return (w if _face_is_convex(Q, free, qp) else None), solves
+    return None, rounds
 
 
 def solve_qp(
@@ -216,31 +288,53 @@ def solve_qp(
 ) -> QPSolution:
     """Solve the QP; status 'optimal' certifies a fixed-point (KKT) residual <= tol.
 
-    If the objective turns out to be indefinite along the feasible directions
-    (possible from floating-point round-off in distance-based objectives), the
-    smallest diagonal shift restoring positive semidefiniteness on that subspace
-    is applied and the solve restarts once; the shift is recorded.
+    Active-set pivoting is tried first; a point it certifies is returned with
+    path "pivot". Otherwise projected-gradient iteration runs from the
+    uniform start (path "gradient"). If the objective turns out to be
+    indefinite along the feasible directions (possible from floating-point
+    round-off in distance-based objectives), the smallest diagonal shift
+    restoring positive semidefiniteness on that subspace is applied and the
+    gradient solve restarts once; the shift is recorded. `iterations` counts
+    pivot rounds plus gradient steps and never exceeds `max_iter`; the
+    diagnostics hold the path and the number of KKT solves.
     """
+    return _solve_qp(qp, tol, max_iter, trace, _PIVOT_ROUNDS)
+
+
+def _solve_qp(qp, tol, max_iter, trace, pivot_rounds) -> QPSolution:
     for _, target in qp.equalities:
         if target < 0:
             return QPSolution(
-                np.zeros(qp.n), float("nan"), float("inf"), 0, STATUS_INFEASIBLE
+                np.zeros(qp.n), float("nan"), float("inf"), 0, STATUS_INFEASIBLE,
+                diagnostics={"kkt_solves": 0, "path": "none"},
             )
 
-    Q = 0.5 * (qp.Q + qp.Q.T)
+    # 0.5*(Q + Q') equals a symmetric Q bit for bit; skip the two n x n temporaries
+    Q = qp.Q if np.array_equal(qp.Q, qp.Q.T) else 0.5 * (qp.Q + qp.Q.T)
+
+    def final_objective(w):
+        return float(0.5 * w @ (Q @ w) + qp.c @ w)
+
+    w, kkt_solves = _pivot(Q, qp, min(pivot_rounds, max_iter))
+    iterations = kkt_solves
+    if w is not None:
+        residual = _natural_residual(w, Q @ w + qp.c, qp)
+        if residual <= tol:
+            if trace is not None:
+                trace.append(final_objective(w))
+            return QPSolution(
+                w, final_objective(w), residual, iterations, STATUS_OPTIMAL,
+                diagnostics={"kkt_solves": kkt_solves, "path": "pivot"},
+            )
+
     shift = 0.0
     repaired = False
-    iterations = 0
 
     while True:
         Qs = Q if shift == 0.0 else Q + shift * np.eye(qp.n)
 
         def objective(w, _Qs=Qs):
             return float(0.5 * w @ (_Qs @ w) + qp.c @ w)
-
-        def natural_residual(w, g):
-            # Unit-step fixed-point residual; zero exactly at KKT points.
-            return float(np.max(np.abs(w - _project_feasible(w - g, qp))))
 
         L = _spectral_bound(Qs)
         eta = 1.0 / max(L, tol)
@@ -253,7 +347,7 @@ def solve_qp(
         while iterations < max_iter:
             iterations += 1
             g = Qs @ w + qp.c
-            residual = natural_residual(w, g)
+            residual = _natural_residual(w, g, qp)
             if residual <= tol:
                 break
             proposal = _project_feasible(w - eta * g, qp)
@@ -276,7 +370,8 @@ def solve_qp(
                 alpha = min(alpha_max, 1e6)
             w = _project_feasible(w + alpha * d, qp)
             if iterations % _POLISH_EVERY == 0:
-                w = _polish(w, Qs, qp.c, qp, objective)
+                w, solves = _polish(w, Qs, qp.c, qp, objective)
+                kkt_solves += solves
             if trace is not None:
                 trace.append(objective(w))
 
@@ -292,10 +387,13 @@ def solve_qp(
 
         # Final refinement, exact feasibility, and a fresh certificate.
         w = _project_feasible(w, qp)
-        w = _polish(w, Qs, qp.c, qp, objective, rounds=30)
-        residual = natural_residual(w, Qs @ w + qp.c)
+        w, solves = _polish(w, Qs, qp.c, qp, objective, rounds=30)
+        kkt_solves += solves
+        residual = _natural_residual(w, Qs @ w + qp.c, qp)
         status = STATUS_OPTIMAL if residual <= tol else STATUS_MAX_ITER
-        final_obj = float(0.5 * w @ (Q @ w) + qp.c @ w)
         if trace is not None:
             trace.append(objective(w))
-        return QPSolution(w, final_obj, residual, iterations, status, shift)
+        return QPSolution(
+            w, final_objective(w), residual, iterations, status, shift,
+            diagnostics={"kkt_solves": kkt_solves, "path": "gradient"},
+        )

@@ -222,6 +222,8 @@ def energy_balance(
         "solver_iterations": sol.iterations,
         "kkt_residual": sol.kkt_residual,
         "diagonal_shift": sol.diagonal_shift,
+        "kkt_solves": sol.diagnostics["kkt_solves"],
+        "path": sol.diagnostics["path"],
         "energy_objective": energy_distance_objective(D, raw, T, estimand),
     }
     return _finish(w, estimand, "eb", kept, T, extra)
@@ -328,6 +330,8 @@ def kom_weights(
             "solver_iterations": sum(s.iterations for s in sols),
             "kkt_residual": max(s.kkt_residual for s in sols),
             "diagonal_shift": max(s.diagonal_shift for s in sols),
+            "kkt_solves": sum(s.diagnostics["kkt_solves"] for s in sols),
+            "path": "pivot" if all(s.diagnostics["path"] == "pivot" for s in sols) else "gradient",
         }
     )
     return _finish(w, estimand, "kom", kept, T, extra)

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from balancebench.qpsolver import QuadraticProgram, project_simplex, solve_qp
+import balancebench as bb
+from balancebench import weights
+from balancebench.qpsolver import QuadraticProgram, _solve_qp, project_simplex, solve_qp
+
+
+def solve_by_gradient(qp):
+    """The projected-gradient fallback alone, with no pivot rounds."""
+    return _solve_qp(qp, 1e-8, 50000, None, 0)
 
 
 def brute_force_simplex(Q, c, total=1.0, step=1e-3):
@@ -122,7 +129,8 @@ def test_objective_monotone_nonincreasing():
     for _ in range(10):
         qp = _random_problem(rng)
         trace: list = []
-        solve_qp(qp, trace=trace)
+        _solve_qp(qp, 1e-8, 50000, trace, 0)
+        assert len(trace) > 1
         diffs = np.diff(np.array(trace))
         scale = 1.0 + np.abs(trace[0])
         assert np.all(diffs <= 1e-12 * scale)
@@ -174,6 +182,8 @@ def test_subspace_indefinite_gets_diagonal_shift():
     sol = solve_qp(qp)
     assert sol.diagonal_shift > 0
     assert sol.status == "optimal"
+    # the all-free face is a saddle, so pivoting must not certify it
+    assert sol.diagnostics["path"] == "gradient"
 
 
 def test_unconstrained_coordinates_clip_at_zero():
@@ -186,3 +196,70 @@ def test_unconstrained_coordinates_clip_at_zero():
     np.testing.assert_allclose(sol.w[:2], [0.5, 0.5], atol=1e-8)
     assert sol.w[2] == pytest.approx(0.0, abs=1e-9)   # gradient positive at 0
     assert sol.w[3] == pytest.approx(0.5, abs=1e-8)  # interior optimum at -c/Q
+
+
+def _assert_pivot_matches_gradient(qp):
+    sol = solve_qp(qp)
+    assert sol.diagnostics["path"] == "pivot"
+    assert sol.status == "optimal" and sol.diagonal_shift == 0.0
+    assert sol.kkt_residual <= 1e-8
+    assert sol.iterations == sol.diagnostics["kkt_solves"]
+    fallback = solve_by_gradient(qp)
+    assert fallback.diagnostics["path"] == "gradient"
+    assert fallback.status == "optimal"
+    np.testing.assert_allclose(sol.w, fallback.w, rtol=0, atol=1e-8)
+    return sol
+
+
+def test_pivot_path_certifies_random_problems():
+    rng = np.random.default_rng(1)
+    for _ in range(40):
+        qp = _random_problem(rng)
+        _check_kkt(qp, _assert_pivot_matches_gradient(qp))
+
+
+def _replication_qps(rarity, confounding, n=250, seed=21):
+    """Every QP behind the EB and KOM weights of one seeded replication."""
+    spec = bb.build_scenario(rarity, confounding, n, seed)
+    ds = bb.generate_dataset(spec, bb.replication_rng(spec, 0))
+    captured = []
+
+    def capture(qp, *args, **kwargs):
+        captured.append(qp)
+        return solve_qp(qp, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weights, "solve_qp", capture)
+        for estimand in ("ATE", "ATT"):
+            bb.energy_balance(ds.X, ds.T, estimand)
+            bb.kom_weights(ds.X, ds.T, ds.Y, estimand)
+    return captured
+
+
+@pytest.mark.parametrize("rarity,confounding", [("common", "moderate"), ("very_rare", "low")])
+def test_pivot_path_certifies_replication_qps(rarity, confounding):
+    qps = _replication_qps(rarity, confounding)
+    assert len(qps) == 5  # EB-ATE, EB-ATT, KOM-ATE per group, KOM-ATT
+    for qp in qps:
+        _assert_pivot_matches_gradient(qp)
+
+
+def test_eb_ate_qp_certifies_in_few_kkt_solves():
+    qp = _replication_qps("common", "moderate")[0]
+    assert qp.n == 250 and len(qp.blocks) == 2
+    sol = solve_qp(qp)
+    assert sol.diagnostics["path"] == "pivot"
+    assert sol.diagnostics["kkt_solves"] <= 10
+
+
+def test_pivot_rounds_count_toward_max_iter():
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((30, 30))
+    qp = QuadraticProgram(A @ A.T, rng.standard_normal(30), ((tuple(range(30)), 1.0),))
+    full = solve_qp(qp)
+    assert full.diagnostics == {"kkt_solves": 4, "path": "pivot"} and full.iterations == 4
+    # three rounds are too few to pivot there; the budget leaves no gradient steps
+    capped = solve_qp(qp, max_iter=3)
+    assert capped.diagnostics["path"] == "gradient"
+    assert capped.iterations == 3
+    assert capped.diagnostics["kkt_solves"] > 3  # the final polish solves too
