@@ -2,8 +2,10 @@
 
 Four methods: inverse-propensity weighting with optional trimming or Hajek
 rescaling, energy-distance balancing (a QP over group simplexes), kernel
-optimal matching (ridge-regularized kernel QPs), and tailored-loss-function
-propensity scores (penalized scoring-rule maximization in an RKHS).
+optimal matching (ridge-regularized kernel QPs, each group's ridge chosen by
+GP evidence from one eigendecomposition), and tailored-loss-function
+propensity scores (penalized scoring-rule maximization in an RKHS, fitted by
+damped Newton; for ATT the Newton system is solved on the treated rows only).
 """
 
 from __future__ import annotations
@@ -147,7 +149,8 @@ def energy_distance_objective(D: np.ndarray, w: np.ndarray, T: np.ndarray, estim
     """Direct evaluation of the weighted energy-distance objective.
 
     `w` is on the pre-normalization scale (each group summing to its size).
-    Used for diagnostics and as an independent check on the QP expansion.
+    An independent check on the QP expansion, whose objective plus the terms
+    free of w energy_balance reports as its `energy_objective` diagnostic.
     """
     T = np.asarray(T, dtype=float)
     treated = T == 1.0
@@ -205,6 +208,7 @@ def energy_balance(
         qp = QuadraticProgram(Q, c, ((tuple(treated), float(n1)), (tuple(control), float(n0))))
         sol = solve_qp(qp)
         raw = sol.w
+        constant = -(2.0 / n**2) * float(rowsums.sum())
     else:
         Q = -(2.0 / n0**2) * D[np.ix_(control, control)]
         c = (2.0 / (n0 * n1)) * D[np.ix_(control, treated)].sum(axis=1)
@@ -212,6 +216,7 @@ def energy_balance(
         sol = solve_qp(qp)
         raw = np.ones(n)
         raw[control] = sol.w
+        constant = -(1.0 / n1**2) * float(T @ (D @ T))
 
     w = np.zeros(n)
     w[treated] = raw[treated] / raw[treated].sum() if raw[treated].sum() > 0 else 0.0
@@ -224,7 +229,8 @@ def energy_balance(
         "diagonal_shift": sol.diagonal_shift,
         "kkt_solves": sol.diagnostics["kkt_solves"],
         "path": sol.diagnostics["path"],
-        "energy_objective": energy_distance_objective(D, raw, T, estimand),
+        # the QP objective plus the terms free of w: energy_distance_objective at raw
+        "energy_objective": sol.objective + constant,
     }
     return _finish(w, estimand, "eb", kept, T, extra)
 
@@ -238,23 +244,26 @@ def gp_ridge_selection(K_group: np.ndarray, y_group: np.ndarray, grid=KOM_RIDGE_
     group outcomes, with the signal amplitude profiled out in closed form so the
     ridge plays the noise-to-signal role. The grid evidence is combined by an
     evidence-weighted geometric mean (the likelihood surface is nearly flat for
-    weak binary signals, so a hard argmax flips between extremes). Falls back to
-    1.0 if every evaluation fails numerically."""
+    weak binary signals, so a hard argmax flips between extremes). One
+    eigendecomposition K = U diag(mu) U' serves every ridge: log det(K + lam I)
+    = sum log(mu + lam) and yc'(K + lam I)^-1 yc = sum (U'yc)^2 / (mu + lam); a
+    ridge with K + lam I not positive definite is skipped. Falls back to 1.0 if
+    every evaluation fails numerically."""
     y = np.asarray(y_group, dtype=float)
     yc = y - y.mean()
     m = y.size
+    mu, U = np.linalg.eigh(K_group)
+    proj2 = (U.T @ yc) ** 2
     lmls, lams = [], []
     for lam in grid:
-        try:
-            L = np.linalg.cholesky(K_group + lam * np.eye(m))
-        except np.linalg.LinAlgError:
+        shifted = mu + lam
+        if shifted.min() <= 0.0:
             continue
-        z = np.linalg.solve(L, yc)
-        quad = float(z @ z)
+        quad = float(np.sum(proj2 / shifted))
         if not np.isfinite(quad) or quad <= 0.0:
             continue
         # amplitude maximized analytically at quad/m
-        lml = -0.5 * m * np.log(quad / m) - float(np.log(np.diag(L)).sum())
+        lml = -0.5 * m * np.log(quad / m) - 0.5 * float(np.log(shifted).sum())
         if np.isfinite(lml):
             lmls.append(lml)
             lams.append(lam)
@@ -413,10 +422,44 @@ def tlf_fit(
     return _tlf_fit_gram(K, T, estimand, lam, kernel, max_iter, gtol)
 
 
+def _tlf_newton_rows(K, T, estimand):
+    """(rows, rest, K[rows, rows], K[rows, rest]) for _tlf_newton_direction.
+    The curvature h is identically zero on `rest` (the controls for ATT; no
+    row for ATE), so the Newton system there reads -2 lam d_alpha_i = -r_i."""
+    if estimand == "ATT":
+        rows, rest = np.flatnonzero(T == 1.0), np.flatnonzero(T != 1.0)
+        return rows, rest, K[np.ix_(rows, rows)], K[np.ix_(rows, rest)]
+    return slice(None), slice(0, 0), K, K[:, :0]
+
+
+def _tlf_newton_direction(split, u, h, alpha, lam, system):
+    """Newton direction for (intercept, alpha) with the factor K divided out of
+    the alpha rows: the closed-form step on `rest`, then the (|rows| + 1)-square
+    system, built in the work array `system`, with the rest's step moved to its
+    right-hand side. `split` is from _tlf_newton_rows; u and h are the score's
+    derivatives from _tlf_terms."""
+    rows, rest, K_rows, K_rest = split
+    n = alpha.size
+    r = u / n - 2.0 * lam * alpha
+    direction = np.empty(n + 1)
+    d_rest = direction[1:][rest] = r[rest] / (2.0 * lam)
+    coupling = K_rest @ d_rest
+    h = h[rows] / n
+    m = h.size
+    system[0, 0], system[0, 1:], system[1:, 0] = h.sum(), K_rows @ h, h
+    np.multiply(h[:, None], K_rows, out=system[1:, 1:])
+    system[1:, 1:].flat[:: m + 1] -= 2.0 * lam
+    rhs = np.concatenate(([u.mean() + h @ coupling], r[rows] + h * coupling))
+    solved = np.linalg.solve(system, -rhs)
+    direction[0] = solved[0]
+    direction[1:][rows] = solved[1:]
+    return direction
+
+
 def _tlf_fit_gram(K, T, estimand, lam, kernel, max_iter=50, gtol=1e-6) -> TlfModel:
-    """Damped Newton on (intercept, alpha) for the concave objective, with the
-    factor K divided out of the alpha rows of the Newton system; certified
-    (converged) only when max|gradient| < gtol."""
+    """Damped Newton on (intercept, alpha) for the concave objective; certified
+    (converged) only when max|gradient| < gtol. For ATT the Newton system is
+    solved on the treated rows only (see _tlf_newton_rows)."""
     if lam <= 0:  # the objective is unbounded, and for ATT the system singular
         raise ValueError("need lam > 0")
     n = T.size
@@ -426,16 +469,13 @@ def _tlf_fit_gram(K, T, estimand, lam, kernel, max_iter=50, gtol=1e-6) -> TlfMod
     value, g0, ga = _tlf_value_grad(K, T, intercept, alpha, lam, estimand)
     if not np.isfinite(value):
         raise NumericError("tailored-loss objective is non-finite at the start point")
-    system = np.empty((n + 1, n + 1))
+    split = _tlf_newton_rows(K, T, estimand)
+    system = np.empty((split[2].shape[0] + 1,) * 2)
     iterations = 0
     while (gnorm := max(abs(g0), float(np.max(np.abs(ga))))) >= gtol and iterations < max_iter:
         _, u, h = _tlf_terms(intercept + K @ alpha, T, estimand)
-        h /= n
-        system[0, 0], system[0, 1:], system[1:, 0] = h.sum(), K @ h, h
-        np.multiply(h[:, None], K, out=system[1:, 1:])
-        system[1:, 1:].flat[:: n + 1] -= 2.0 * lam
         try:
-            direction = np.linalg.solve(system, -np.concatenate(([u.mean()], u / n - 2.0 * lam * alpha)))
+            direction = _tlf_newton_direction(split, u, h, alpha, lam, system)
         except np.linalg.LinAlgError:
             break
         slope = g0 * direction[0] + float(ga @ direction[1:])
@@ -468,36 +508,41 @@ def select_tlf_hyper(
     folds: int = 5,
 ) -> dict:
     """(lambda, gamma) for each estimand, picked by 5-fold cross-validated mean
-    tailored score; each gamma's Gram matrix is built once for all estimands."""
+    tailored score. Each gamma's Gram matrix is built once, and each fold's
+    train and test blocks of it are copied once, for all (estimand, lambda)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     T = np.asarray(T, dtype=float)
     n = T.size
     fold_id = np.arange(n) % folds
+    points = list(itertools.product(estimands, lambdas))
     best = {estimand: (float(lambdas[0]), float(gammas[0])) for estimand in estimands}
     best_score = dict.fromkeys(estimands, -np.inf)
     for gamma in gammas:
         kernel = KernelSpec("laplacian", gamma)
         K = gram_matrix(kernel, X)
-        for estimand, lam in itertools.product(estimands, lambdas):
-            fold_scores = []
-            for f in range(folds):
-                test = fold_id == f
-                train = ~test
-                t_train = T[train]
-                if t_train.min() == t_train.max():
+        # fold scores per (estimand, lambda); None once a fold fit is uncertified,
+        # which makes the whole grid point ineligible
+        fold_scores = {point: [] for point in points}
+        for f in range(folds):
+            test = fold_id == f
+            train = ~test
+            t_train = T[train]
+            if t_train.min() == t_train.max():
+                continue
+            K_tr, K_te = K[np.ix_(train, train)], K[np.ix_(test, train)]
+            for estimand, lam in points:
+                if fold_scores[estimand, lam] is None:
                     continue
-                K_tr = K[np.ix_(train, train)]
                 model = _tlf_fit_gram(K_tr, t_train, estimand, lam, kernel)
                 if not model.converged:
-                    # an uncertified fold fit makes the whole grid point ineligible
-                    fold_scores = []
-                    break
-                eta = model.intercept + K[np.ix_(test, train)] @ model.alpha
-                p = np.clip(expit(eta), 1e-12, 1.0 - 1e-12)
-                fold_scores.append(float(tlf_score(p, T[test], estimand).mean()))
-            if not fold_scores:
+                    fold_scores[estimand, lam] = None
+                    continue
+                p = np.clip(expit(model.intercept + K_te @ model.alpha), 1e-12, 1.0 - 1e-12)
+                fold_scores[estimand, lam].append(float(tlf_score(p, T[test], estimand).mean()))
+        for (estimand, lam), scores in fold_scores.items():
+            if not scores:
                 continue
-            score = float(np.mean(fold_scores))
+            score = float(np.mean(scores))
             if score > best_score[estimand]:
                 best_score[estimand] = score
                 best[estimand] = (float(lam), float(gamma))

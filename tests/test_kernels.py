@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from balancebench.kernels import Geometry, KernelSpec, distance_matrix, gram_matrix, median_heuristic
+from balancebench.kernels import (
+    Geometry,
+    KernelSpec,
+    _l1_distances,
+    distance_matrix,
+    gram_matrix,
+    median_heuristic,
+)
 
 
 def test_kernel_spec_validation():
@@ -52,6 +59,16 @@ def test_cross_gram_shape_and_values():
     assert K.shape == (5, 4)
     d2 = ((X[2] - Z[3]) ** 2).sum()
     assert K[2, 3] == pytest.approx(np.exp(-d2 / (2 * 1.1**2)), abs=1e-14)
+
+
+@pytest.mark.parametrize("d", range(1, 21))
+def test_l1_distances_equal_broadcast_sum_bit_for_bit(d):
+    # 300 rows span two 256-row blocks; Z is rectangular
+    rng = np.random.default_rng(d)
+    X, Z = rng.standard_normal((300, d)), rng.standard_normal((70, d))
+    reference = np.abs(X[:, None, :] - Z[None, :, :]).sum(axis=2)
+    assert np.array_equal(_l1_distances(X, Z), reference)
+    assert np.array_equal(_l1_distances(X, X), np.abs(X[:, None, :] - X[None, :, :]).sum(axis=2))
 
 
 def test_distance_matrix_properties():

@@ -10,6 +10,7 @@ from balancebench.kernels import KernelSpec, distance_matrix, gram_matrix
 from balancebench.weights import (
     effective_sample_size,
     energy_distance_objective,
+    gp_ridge_selection,
     select_tlf_hyper,
     tlf_fit,
     tlf_predict,
@@ -138,6 +139,19 @@ def test_energy_objective_no_worse_than_uniform():
         assert opt <= uniform + 1e-10
         assert bw.values[ds.T == 1].sum() == pytest.approx(1.0, abs=1e-9)
         assert bw.values[ds.T == 0].sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def test_energy_objective_diagnostic_matches_direct_evaluation():
+    spec = bb.build_scenario("common", "moderate", 250, 7)
+    ds = bb.generate_dataset(spec, bb.replication_rng(spec, 0))
+    D = distance_matrix(ds.X)
+    for estimand in ("ATE", "ATT"):
+        bw = bb.energy_balance(ds.X, ds.T, estimand)
+        raw = bw.values.copy()
+        raw[ds.T == 1] = ds.n1 * raw[ds.T == 1] if estimand == "ATE" else 1.0
+        raw[ds.T == 0] *= ds.n0
+        direct = energy_distance_objective(D, raw, ds.T, estimand)
+        assert bw.diagnostics["energy_objective"] == pytest.approx(direct, rel=1e-12, abs=0)
 
 
 def _staged_grid_oracle(fn, dim, total, steps=(0.08, 0.008, 0.0008, 0.00008)):
@@ -347,6 +361,45 @@ def test_kom_ate_path_is_gradient_when_either_group_falls_back(monkeypatch):
     assert bw.diagnostics["kkt_solves"] == sum(s.diagnostics["kkt_solves"] for s in solved)
 
 
+def _cholesky_ridge_selection(K_group, y_group, grid=weights.KOM_RIDGE_GRID):
+    """Reference: gp_ridge_selection with one Cholesky factor per ridge."""
+    yc = y_group - y_group.mean()
+    m = yc.size
+    lmls, lams = [], []
+    for lam in grid:
+        try:
+            L = np.linalg.cholesky(K_group + lam * np.eye(m))
+        except np.linalg.LinAlgError:
+            continue
+        z = np.linalg.solve(L, yc)
+        lmls.append(-0.5 * m * np.log(float(z @ z) / m) - float(np.log(np.diag(L)).sum()))
+        lams.append(lam)
+    if not lams:
+        return 1.0, None
+    evidence = np.exp(np.asarray(lmls) - max(lmls))
+    return float(np.exp(evidence / evidence.sum() @ np.log(lams))), max(lmls)
+
+
+def test_gp_ridge_selection_matches_cholesky_reference():
+    spec = bb.build_scenario("common", "moderate", 250, 7)
+    ds = bb.generate_dataset(spec, bb.replication_rng(spec, 0))
+    K = gram_matrix(KernelSpec("gaussian", bb.median_heuristic(ds.X)), ds.X)
+    cases = [(K[np.ix_(g, g)], ds.Y[g]) for g in (ds.T == 1, ds.T == 0)]
+    # K - 0.05 I is indefinite: the ridges 1e-3 and 1e-2 leave it so and are skipped
+    K_c, y_c = cases[1]
+    cases.append((K_c - 0.05 * np.eye(y_c.size), y_c))
+    for K_group, y_group in cases:
+        ridge, diag = gp_ridge_selection(K_group, y_group)
+        reference, evidence = _cholesky_ridge_selection(K_group, y_group)
+        assert not diag["ridge_fallback"]
+        assert ridge == pytest.approx(reference, rel=1e-12, abs=0)
+        assert diag["ridge_evidence_max"] == pytest.approx(evidence, rel=1e-12, abs=0)
+    assert np.linalg.eigvalsh(cases[2][0]).min() + 1e-2 < 0
+    # no ridge in the grid makes K - 10 I positive definite
+    ridge, diag = gp_ridge_selection(K_c - 10.0 * np.eye(y_c.size), y_c, grid=(1e-3, 1.0))
+    assert (ridge, diag) == (1.0, {"ridge_fallback": True})
+
+
 def test_kom_ate_group_sums():
     spec = bb.build_scenario("common", "moderate", 120, 10)
     ds = bb.generate_dataset(spec, bb.replication_rng(spec, 0))
@@ -428,6 +481,42 @@ def test_tlf_fit_certifies_in_few_newton_steps():
         assert model.converged and 1 <= model.iterations <= 20
         _, g0, ga = _tlf_value_grad(model.gram, ds.T, model.intercept, model.alpha, 1e-2, estimand)
         assert max(abs(g0), np.max(np.abs(ga))) == model.grad_norm < 1e-6
+
+
+def test_tlf_att_reduced_newton_direction_matches_full_solve():
+    from balancebench.weights import _tlf_newton_direction, _tlf_newton_rows, _tlf_terms
+
+    spec = bb.build_scenario("common", "moderate", 250, 7)
+    ds = bb.generate_dataset(spec, bb.replication_rng(spec, 0))
+    K = gram_matrix(KernelSpec("laplacian", 0.5), ds.X)
+    n, lam = ds.n, 1e-2
+    alpha = 0.05 * np.random.default_rng(2).standard_normal(n)
+    _, u, h = _tlf_terms(-0.4 + K @ alpha, ds.T, "ATT")
+    # the full (n+1)-square Newton system, alpha rows divided by K
+    hn = h / n
+    system = np.empty((n + 1, n + 1))
+    system[0, 0], system[0, 1:], system[1:, 0] = hn.sum(), K @ hn, hn
+    system[1:, 1:] = hn[:, None] * K - 2.0 * lam * np.eye(n)
+    full = np.linalg.solve(system, -np.concatenate(([u.mean()], u / n - 2.0 * lam * alpha)))
+    rows, rest, K_rows, _ = split = _tlf_newton_rows(K, ds.T, "ATT")
+    assert rows.size == ds.n1 and K_rows.shape == (ds.n1, ds.n1)
+    reduced = _tlf_newton_direction(split, u, h, alpha, lam, np.empty((ds.n1 + 1, ds.n1 + 1)))
+    assert np.max(np.abs(reduced - full)) <= 1e-10 * np.max(np.abs(full))
+
+
+@pytest.mark.parametrize("rarity,confounding", [("common", "moderate"), ("very_rare", "low")])
+def test_tlf_att_fit_takes_the_full_systems_newton_steps(monkeypatch, rarity, confounding):
+    spec = bb.build_scenario(rarity, confounding, 250, 7)
+    ds = bb.generate_dataset(spec, bb.replication_rng(spec, 0))
+    fits = {lam: tlf_fit(ds.X, ds.T, "ATT", lam, 0.5) for lam in weights.TLF_LAMBDA_GRID}
+    real = weights._tlf_newton_rows
+    # every row in the system, as for ATE: the control rows' step is solved for
+    monkeypatch.setattr(weights, "_tlf_newton_rows", lambda K, T, estimand: real(K, T, "ATE"))
+    for lam, fit in fits.items():
+        full = tlf_fit(ds.X, ds.T, "ATT", lam, 0.5)
+        assert fit.converged and full.converged
+        assert fit.iterations == full.iterations >= 1
+        np.testing.assert_allclose(tlf_predict(fit), tlf_predict(full), rtol=0, atol=1e-10)
 
 
 def test_tlf_rejects_nonpositive_penalty():
