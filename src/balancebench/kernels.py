@@ -146,18 +146,19 @@ class Geometry:
         """compute() on the first call with `key`, the stored result afterwards."""
         if key not in self._memo:
             value = compute()
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
+            for array in _arrays(value):
+                array.flags.writeable = False
             self._memo[key] = value
         return self._memo[key]
 
     def release(self, keep_distances: bool = False) -> None:
-        """Drop the cached arrays, except the distances if asked; scalars such
-        as the median stay. A dropped array is rebuilt on its next use."""
+        """Drop the cached values that hold arrays, except the distances if
+        asked; scalars such as the median stay. A dropped value is rebuilt on
+        its next use."""
         self._memo = {
             key: value
             for key, value in self._memo.items()
-            if not isinstance(value, np.ndarray) or (keep_distances and key == "distances")
+            if not _arrays(value) or (keep_distances and key == "distances")
         }
 
     def distances(self) -> np.ndarray:
@@ -168,3 +169,12 @@ class Geometry:
 
     def gram(self, kernel: KernelSpec) -> np.ndarray:
         return self.memo(kernel, lambda: gram_matrix(kernel, self.X))
+
+
+def _arrays(value) -> list:
+    """The arrays in a memo value: the value itself, or those nested in its tuples."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, tuple):
+        return [array for item in value for array in _arrays(item)]
+    return []

@@ -4,9 +4,14 @@ group-sum equality constraints.
 A solve first runs block active-set pivoting (Judice & Pires 1994) from the
 all-free face: solve the face's KKT system, drop every negative coordinate,
 or else release every zeroed coordinate whose reduced gradient is negative.
-The point it ends on is accepted only when the reduced Hessian on its face
-has a Cholesky factor and a fresh fixed-point (KKT) residual is within
-tolerance. Otherwise the solve falls back to projected-gradient iteration:
+The point it ends on is accepted only when its face is strictly convex and a
+fresh fixed-point (KKT) residual, computed with the dense Q, is within
+tolerance. Strict convexity is certified by a Cholesky factor of the face's
+reduced Hessian, or, when the QP carries Q's eigendecomposition and its
+smallest eigenvalue clears eigh's backward error, by that bound for every
+face at once; such a QP also solves each face's KKT system from the
+eigendecomposition while that is cheaper than factoring the face.
+Otherwise the solve falls back to projected-gradient iteration:
 a proximal quadratic step with projection onto the scaled simplex of each
 equality block, an exact line search along the projected direction and a
 periodic active-set polish. Everything is deterministic: fixed iteration
@@ -32,12 +37,15 @@ _PIVOT_ROUNDS = 20
 
 @dataclass(frozen=True)
 class QuadraticProgram:
-    """min 0.5 w'Qw + c'w  subject to  sum(w[idx]) = target per block and w >= 0."""
+    """min 0.5 w'Qw + c'w  subject to  sum(w[idx]) = target per block and w >= 0.
+
+    `spectrum`, if given, is (mu, U) with Q = U diag(mu) U' and U orthogonal,
+    as np.linalg.eigh returns it; see solve_qp for its use."""
 
     Q: np.ndarray
     c: np.ndarray
-    equalities: tuple[tuple[tuple[int, ...], float], ...] = ()
-    blocks: tuple[tuple[np.ndarray, float], ...] = field(init=False, repr=False, compare=False)
+    equalities: tuple[tuple[np.ndarray, float], ...] = ()
+    spectrum: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
     block_of: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -47,26 +55,26 @@ class QuadraticProgram:
             raise ValueError("Q must be square and match c")
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "c", c)
-        seen: set[int] = set()
-        cleaned = []
-        for idx, target in self.equalities:
-            idx = tuple(int(i) for i in idx)
-            if len(idx) == 0:
-                raise ValueError("equality blocks must be nonempty")
-            if any(i < 0 or i >= c.size for i in idx):
-                raise ValueError("equality index out of range")
-            if seen & set(idx):
-                raise ValueError("equality blocks must be disjoint")
-            seen.update(idx)
-            cleaned.append((idx, float(target)))
-        object.__setattr__(self, "equalities", tuple(cleaned))
         # index arrays and the block of each coordinate (-1 if in none)
-        blocks = tuple((np.asarray(idx, dtype=np.intp), target) for idx, target in cleaned)
         block_of = np.full(c.size, -1, dtype=np.intp)
-        for k, (idx, _) in enumerate(blocks):
+        blocks = []
+        for k, (idx, target) in enumerate(self.equalities):
+            idx = np.asarray(idx, dtype=np.intp)
+            if idx.size == 0:
+                raise ValueError("equality blocks must be nonempty")
+            if idx.min() < 0 or idx.max() >= c.size:
+                raise ValueError("equality index out of range")
+            if (block_of[idx] >= 0).any():
+                raise ValueError("equality blocks must be disjoint")
             block_of[idx] = k
-        object.__setattr__(self, "blocks", blocks)
+            blocks.append((idx, float(target)))
+        object.__setattr__(self, "equalities", tuple(blocks))
         object.__setattr__(self, "block_of", block_of)
+        if self.spectrum is not None:
+            mu, U = (np.asarray(a, dtype=float) for a in self.spectrum)
+            if mu.shape != (c.size,) or U.shape != Q.shape:
+                raise ValueError("spectrum must be (mu, U) with mu of length n and U n x n")
+            object.__setattr__(self, "spectrum", (mu, U))
 
     @property
     def n(self) -> int:
@@ -101,14 +109,14 @@ def project_simplex(v: np.ndarray, total: float) -> np.ndarray:
 
 def _project_feasible(v: np.ndarray, qp: QuadraticProgram) -> np.ndarray:
     w = np.maximum(v, 0.0)
-    for idx, target in qp.blocks:
+    for idx, target in qp.equalities:
         w[idx] = project_simplex(v[idx], target)
     return w
 
 
 def _feasible_start(qp: QuadraticProgram) -> np.ndarray:
     w = np.zeros(qp.n)
-    for idx, target in qp.blocks:
+    for idx, target in qp.equalities:
         w[idx] = target / idx.size
     return w
 
@@ -131,7 +139,7 @@ def _reduced_min_eigenvalue(Q: np.ndarray, qp: QuadraticProgram) -> float:
     """Smallest eigenvalue of Q restricted to the equality-constraint null space."""
     n = qp.n
     P = np.eye(n)
-    for idx, _ in qp.blocks:
+    for idx, _ in qp.equalities:
         e = np.zeros(n)
         e[idx] = 1.0 / np.sqrt(idx.size)
         P -= np.outer(e, e)
@@ -140,40 +148,90 @@ def _reduced_min_eigenvalue(Q: np.ndarray, qp: QuadraticProgram) -> float:
     return float(np.linalg.eigvalsh(M)[0])
 
 
-def _kkt_solve(free, Qs, c, qp):
+def _certified_spectrum(qp: QuadraticProgram):
+    """qp.spectrum when its smallest eigenvalue exceeds eigh's backward error
+    bound n * eps * max|mu|, which makes Q positive definite and every face
+    strictly convex; otherwise None."""
+    if qp.spectrum is None:
+        return None
+    mu = qp.spectrum[0]
+    margin = qp.n * np.finfo(float).eps * float(np.abs(mu).max())
+    return qp.spectrum if float(mu.min()) > margin else None
+
+
+def _kkt_solve(free, Qs, c, qp, spectrum=None):
     """Equality-constrained solve on the free coordinates; returns the candidate
-    full vector and the per-block multipliers (None on numerical failure)."""
-    rows = []
-    targets = []
+    full vector and the per-block multipliers (None on numerical failure).
+
+    With a certified `spectrum` (see _certified_spectrum) the solve goes
+    through Q's eigendecomposition while that costs fewer flops than a dense
+    factorization of the face (see _spectral_kkt_solve)."""
     free_block = qp.block_of[free]
-    for k, (_, target) in enumerate(qp.blocks):
-        inside = free_block == k
-        if not inside.any():
-            if target > _FREE_EPS:
-                return None, None
-            continue
-        rows.append((k, inside.astype(float)))
-        targets.append(target)
-    m = len(rows)
-    kkt = np.zeros((free.size + m, free.size + m))
-    kkt[: free.size, : free.size] = Qs[np.ix_(free, free)]
-    rhs = np.concatenate([-c[free], np.asarray(targets, dtype=float)])
-    if m:
-        E = np.vstack([r for _, r in rows])
-        kkt[: free.size, free.size :] = E.T
-        kkt[free.size :, : free.size] = E
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError:
-        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
+    ks, targets = [], []
+    for k, (_, target) in enumerate(qp.equalities):
+        if (free_block == k).any():
+            ks.append(k)
+            targets.append(target)
+        elif target > _FREE_EPS:
+            return None, None
+    # the block-sum rows over the free coordinates
+    E = (free_block == np.asarray(ks, dtype=np.intp)[:, None]).astype(float)
+    targets = np.asarray(targets, dtype=float)
+    f, m = free.size, len(ks)
+    sol = None
+    # 2 n^2 |dropped| flops of products against about f^3 for the LU of the face
+    if spectrum is not None and 2 * qp.n**2 * (qp.n - f) < f**3:
+        sol = _spectral_kkt_solve(free, spectrum, c, E, targets)
+    if sol is None:
+        kkt = np.empty((f + m, f + m))
+        if f == qp.n:  # the all-free face: free is arange(n)
+            kkt[:f, :f] = Qs
+        else:
+            np.take(Qs[free], free, axis=1, out=kkt[:f, :f], mode="clip")
+        kkt[:f, f:] = E.T
+        kkt[f:, :f] = E
+        kkt[f:, f:] = 0.0
+        rhs = np.concatenate([-c[free], targets])
+        try:
+            sol = np.linalg.solve(kkt, rhs)
+        except np.linalg.LinAlgError:
+            sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
     if not np.all(np.isfinite(sol)):
         return None, None
     cand = np.zeros(qp.n)
-    cand[free] = sol[: free.size]
-    lams = np.zeros(len(qp.blocks))
-    for j, (k, _) in enumerate(rows):
-        lams[k] = -sol[free.size + j]
+    cand[free] = sol[:f]
+    lams = np.zeros(len(qp.equalities))
+    lams[ks] = -sol[f:]
     return cand, lams
+
+
+def _spectral_kkt_solve(free, spectrum, c, E, targets):
+    """The face's KKT solution [w_free; s] from Q = U diag(mu) U', without a
+    factorization of the face or the n x n inverse P = U diag(1/mu) U'.
+
+    With the dropped coordinates S, Q_FF^-1 = P_FF - P_FS P_SS^-1 P_SF (the
+    Schur complement of P_SS), so Q_FF^-1 [-c_F, E'] costs two products with
+    U, the columns P[:, S] and an |S|-square solve. The block multipliers s
+    then solve the small system (E Q_FF^-1 E') s = E Q_FF^-1 (-c_F) - targets.
+    Returns None when a solve is singular."""
+    mu, U = spectrum
+    n = mu.size
+    R = np.zeros((n, 1 + E.shape[0]))
+    R[free, 0] = -c[free]
+    R[free, 1:] = E.T
+    X = U @ ((U.T @ R) / mu[:, None])
+    outside = np.ones(n, dtype=bool)
+    outside[free] = False
+    dropped = np.flatnonzero(outside)
+    try:
+        if dropped.size:
+            P_S = U @ (U[dropped].T / mu[:, None])
+            X -= P_S @ np.linalg.solve(P_S[dropped], X[dropped])
+        a, B = X[free, 0], X[free, 1:]
+        s = np.linalg.solve(E @ B, E @ a - targets)
+    except np.linalg.LinAlgError:
+        return None
+    return np.concatenate([a - B @ s, s])
 
 
 def _reduced_gradient(g, lams, qp):
@@ -234,10 +292,10 @@ def _face_is_convex(Q, free, qp) -> bool:
 
     The basis pairs each free coordinate of a block with the block's last
     free coordinate, so Z'QZ is formed by column and row differences."""
-    M = Q[np.ix_(free, free)]
+    M = Q.copy() if free.size == qp.n else Q[free][:, free]
     free_block = qp.block_of[free]
     keep = np.ones(free.size, dtype=bool)
-    for k in range(len(qp.blocks)):
+    for k in range(len(qp.equalities)):
         members = np.nonzero(free_block == k)[0]
         if members.size == 0:
             continue
@@ -246,7 +304,7 @@ def _face_is_convex(Q, free, qp) -> bool:
         M[rest, :] -= M[[last], :]
         keep[last] = False
     try:
-        np.linalg.cholesky(M[np.ix_(keep, keep)])
+        np.linalg.cholesky(M[keep][:, keep])
     except np.linalg.LinAlgError:
         return False
     return True
@@ -259,10 +317,12 @@ def _pivot(Q, qp, rounds: int):
 
     Returns the KKT point of the final face, or None when the rounds run out,
     a block loses all its coordinates or the face is not strictly convex;
-    and the number of KKT solves."""
+    and the number of KKT solves. A certified spectrum (see
+    _certified_spectrum) stands for every face's convexity check."""
+    spectrum = _certified_spectrum(qp)
     free = np.arange(qp.n)
     for solves in range(1, rounds + 1):
-        cand, lams = _kkt_solve(free, Q, qp.c, qp)
+        cand, lams = _kkt_solve(free, Q, qp.c, qp, spectrum)
         if cand is None:
             return None, solves
         negative = cand[free] < _NEGATIVE
@@ -276,7 +336,8 @@ def _pivot(Q, qp, rounds: int):
         if release.size:
             free = np.union1d(np.nonzero(w > _FREE_EPS)[0], release)
             continue
-        return (w if _face_is_convex(Q, free, qp) else None), solves
+        convex = spectrum is not None or _face_is_convex(Q, free, qp)
+        return (w if convex else None), solves
     return None, rounds
 
 
@@ -289,8 +350,15 @@ def solve_qp(
     """Solve the QP; status 'optimal' certifies a fixed-point (KKT) residual <= tol.
 
     Active-set pivoting is tried first; a point it certifies is returned with
-    path "pivot". Otherwise projected-gradient iteration runs from the
-    uniform start (path "gradient"). If the objective turns out to be
+    path "pivot". Pivoting certifies a point when its face is strictly convex
+    and its residual, computed with the dense Q, is within tol. When
+    qp.spectrum's smallest eigenvalue exceeds n * eps * max|mu| (eigh's
+    backward error), Q is positive definite, which certifies every face
+    without a factorization, and the face KKT systems are solved from the
+    spectrum while that is cheaper than a dense LU; otherwise each final face
+    needs a Cholesky factor of its reduced Hessian. When pivoting certifies
+    nothing, projected-gradient iteration runs from the uniform start (path
+    "gradient"). If the objective turns out to be
     indefinite along the feasible directions (possible from floating-point
     round-off in distance-based objectives), the smallest diagonal shift
     restoring positive semidefiniteness on that subspace is applied and the

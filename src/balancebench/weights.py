@@ -195,24 +195,23 @@ def energy_balance(
     D = Geometry.of(X, geometry).distances()
 
     if estimand == "ATE":
-        Q = np.zeros((n, n))
-        Q[np.ix_(control, control)] = -(4.0 / n0**2) * D[np.ix_(control, control)]
-        Q[np.ix_(treated, treated)] = -(4.0 / n1**2) * D[np.ix_(treated, treated)]
-        cross = (2.0 / (n0 * n1)) * D[np.ix_(control, treated)]
-        Q[np.ix_(control, treated)] = cross
-        Q[np.ix_(treated, control)] = cross.T
+        # each entry is its pair's coefficient times D, one rounding as in a
+        # per-block product: -4/n0^2 and -4/n1^2 within a group, 2/(n0 n1) across
+        within = np.where(T == 1.0, -(4.0 / n1**2), -(4.0 / n0**2))
+        Q = np.where(T[:, None] == T, within[:, None], 2.0 / (n0 * n1))
+        Q *= D
         c = np.empty(n)
         rowsums = D.sum(axis=1)
         c[control] = (2.0 / (n0 * n)) * rowsums[control]
         c[treated] = (2.0 / (n1 * n)) * rowsums[treated]
-        qp = QuadraticProgram(Q, c, ((tuple(treated), float(n1)), (tuple(control), float(n0))))
+        qp = QuadraticProgram(Q, c, ((treated, float(n1)), (control, float(n0))))
         sol = solve_qp(qp)
         raw = sol.w
         constant = -(2.0 / n**2) * float(rowsums.sum())
     else:
         Q = -(2.0 / n0**2) * D[np.ix_(control, control)]
         c = (2.0 / (n0 * n1)) * D[np.ix_(control, treated)].sum(axis=1)
-        qp = QuadraticProgram(Q, c, ((tuple(range(n0)), float(n0)),))
+        qp = QuadraticProgram(Q, c, ((np.arange(n0), float(n0)),))
         sol = solve_qp(qp)
         raw = np.ones(n)
         raw[control] = sol.w
@@ -248,7 +247,8 @@ def gp_ridge_selection(K_group: np.ndarray, y_group: np.ndarray, grid=KOM_RIDGE_
     eigendecomposition K = U diag(mu) U' serves every ridge: log det(K + lam I)
     = sum log(mu + lam) and yc'(K + lam I)^-1 yc = sum (U'yc)^2 / (mu + lam); a
     ridge with K + lam I not positive definite is skipped. Falls back to 1.0 if
-    every evaluation fails numerically."""
+    every evaluation fails numerically. Returns the ridge, its diagnostics and
+    the eigendecomposition (mu, U), which KOM's QPs reuse."""
     y = np.asarray(y_group, dtype=float)
     yc = y - y.mean()
     m = y.size
@@ -268,23 +268,28 @@ def gp_ridge_selection(K_group: np.ndarray, y_group: np.ndarray, grid=KOM_RIDGE_
             lmls.append(lml)
             lams.append(lam)
     if not lams:
-        return 1.0, {"ridge_fallback": True}
+        return 1.0, {"ridge_fallback": True}, (mu, U)
     weights = np.exp(np.asarray(lmls) - max(lmls))
     weights /= weights.sum()
     ridge = float(np.exp(weights @ np.log(lams)))
-    return ridge, {"ridge_fallback": False, "ridge_evidence_max": float(max(lmls))}
+    return ridge, {"ridge_fallback": False, "ridge_evidence_max": float(max(lmls))}, (mu, U)
 
 
 def _group_ridge(geometry: Geometry, kernel: KernelSpec, K, group, Y):
     """gp_ridge_selection for one group, computed once per geometry, kernel and group data."""
     key = ("gp_ridge", kernel, group.tobytes(), Y[group].tobytes())
-    return geometry.memo(key, lambda: gp_ridge_selection(K[np.ix_(group, group)], Y[group]))
+    return geometry.memo(key, lambda: gp_ridge_selection(K[group][:, group], Y[group]))
 
 
-def _simplex_qp(K, group, lam, c):
-    """min w'(K_gg + lam I)w + c'w over the unit simplex of one group."""
-    Q = 2.0 * (K[np.ix_(group, group)] + lam * np.eye(group.size))
-    return solve_qp(QuadraticProgram(Q, c, ((tuple(range(group.size)), 1.0),)))
+def _simplex_qp(K, group, lam, c, spectrum):
+    """min w'(K_gg + lam I)w + c'w over the unit simplex of one group, with
+    `spectrum` = eigh(K_gg) shifted to the QP's Hessian 2(K_gg + lam I)."""
+    m = group.size
+    Q = K[group][:, group]
+    Q.flat[:: m + 1] += lam  # K_gg + lam I, entry for entry
+    Q *= 2.0
+    mu, U = spectrum
+    return solve_qp(QuadraticProgram(Q, c, ((np.arange(m), 1.0),), spectrum=(2.0 * (mu + lam), U)))
 
 
 def kom_weights(
@@ -300,8 +305,10 @@ def kom_weights(
 
     The ATE objective is block-diagonal with a separable linear term, so it is
     solved as one simplex QP per group; the weights are certified only when
-    every group's QP is. `geometry`, if given, supplies the bandwidth and the
-    Gram matrix of X and shares the control-group ridge between estimands."""
+    every group's QP is. Each group's QP reuses the eigendecomposition its
+    ridge selection took. `geometry`, if given, supplies the bandwidth and the
+    Gram matrix of X and shares the control group's ridge and
+    eigendecomposition between estimands."""
     _check_estimand(estimand)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     T = np.asarray(T, dtype=float)
@@ -316,19 +323,22 @@ def kom_weights(
     n1 = treated.size
     K = geometry.gram(kernel)
 
-    lam0, diag0 = _group_ridge(geometry, kernel, K, control, Y)
+    lam0, diag0, spectrum0 = _group_ridge(geometry, kernel, K, control, Y)
     extra = {"kernel_scale": kernel.scale, "ridge_control": lam0, **{f"control_{k}": v for k, v in diag0.items()}}
 
     w = np.empty(n)
     if estimand == "ATE":
-        lam1, diag1 = _group_ridge(geometry, kernel, K, treated, Y)
+        lam1, diag1, spectrum1 = _group_ridge(geometry, kernel, K, treated, Y)
         extra.update({"ridge_treated": lam1, **{f"treated_{k}": v for k, v in diag1.items()}})
         c = -(2.0 / n) * K.sum(axis=0)
-        sols = [_simplex_qp(K, control, lam0, c[control]), _simplex_qp(K, treated, lam1, c[treated])]
+        sols = [
+            _simplex_qp(K, control, lam0, c[control], spectrum0),
+            _simplex_qp(K, treated, lam1, c[treated], spectrum1),
+        ]
         w[treated] = sols[1].w
     else:
         c = -(2.0 / n1) * K[np.ix_(treated, control)].sum(axis=0)
-        sols = [_simplex_qp(K, control, lam0, c)]
+        sols = [_simplex_qp(K, control, lam0, c, spectrum0)]
         w[treated] = 1.0 / n1
     w[control] = sols[0].w
 

@@ -354,8 +354,34 @@ def geometry_calls(monkeypatch):
     return log
 
 
+def factorization_calls(monkeypatch):
+    """(factorization, weight method running it) for every eigh and Cholesky."""
+    log, running = [], []
+    for name in ("energy_balance", "kom_weights", "tlf_weights"):
+        real = getattr(harness, name)
+
+        def method(*args, _real=real, _name=name, **kwargs):
+            running.append(_name)
+            try:
+                return _real(*args, **kwargs)
+            finally:
+                running.pop()
+
+        monkeypatch.setattr(harness, name, method)
+    for name in ("eigh", "cholesky"):
+        real = getattr(np.linalg, name)
+
+        def factorization(*args, _real=real, _name=name, **kwargs):
+            log.append((_name, running[-1] if running else None))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, factorization)
+    return log
+
+
 def test_default_replication_builds_each_geometry_piece_once(monkeypatch):
     log = geometry_calls(monkeypatch)
+    factorizations = factorization_calls(monkeypatch)
     config = RunConfig(scenarios=((250, "common", "moderate"),), replications=1, master_seed=5)
     spec = bb.build_scenario("common", "moderate", 250, 5)
     records = run_replication(spec, 0, config, FIXED_TLF_HYPER)
@@ -367,6 +393,12 @@ def test_default_replication_builds_each_geometry_piece_once(monkeypatch):
     }
     families = sorted(args[0].family for name, args, _ in log if name == "gram_matrix")
     assert families == ["gaussian", "laplacian"]
+    # one eigh per KOM group serves its ridge and its QPs' faces: KOM takes no
+    # Cholesky, EB one per final face
+    assert sorted(factorizations) == [
+        ("cholesky", "energy_balance"), ("cholesky", "energy_balance"),
+        ("eigh", "kom_weights"), ("eigh", "kom_weights"),
+    ]
 
 
 def test_iptw_only_replication_builds_no_geometry(monkeypatch):

@@ -131,11 +131,19 @@ def test_geometry_release_keeps_scalars_and_rebuilds_arrays():
     geometry = Geometry(X)
     spec = KernelSpec("laplacian", 1.0)
     distances, median, K = geometry.distances(), geometry.median(), geometry.gram(spec)
+    # a memo value that holds arrays inside tuples, as KOM's ridge and spectrum do
+    spectrum = geometry.memo("spectrum", lambda: (1.0, {"fallback": False}, np.linalg.eigh(K)))
+    flags = geometry.memo("flags", lambda: (2.0, ("a", 3)))
+    assert not any(array.flags.writeable for array in spectrum[2])
     geometry.release(keep_distances=True)
     assert geometry.distances() is distances and geometry.median() == median
     assert geometry.gram(spec) is not K
+    assert geometry.memo("flags", lambda: None) is flags
+    rebuilt = geometry.memo("spectrum", lambda: (1.0, {"fallback": False}, np.linalg.eigh(K)))
+    assert rebuilt is not spectrum
     geometry.release()
     assert geometry.distances() is not distances
+    assert geometry.memo("spectrum", lambda: None) is None
     np.testing.assert_array_equal(geometry.distances(), distances)
     np.testing.assert_array_equal(geometry.gram(spec), K)
 

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import balancebench as bb
-from balancebench import weights
+from balancebench import qpsolver, weights
 from balancebench.qpsolver import QuadraticProgram, _solve_qp, project_simplex, solve_qp
 
 
@@ -73,6 +75,24 @@ def test_validation_errors():
         QuadraticProgram(np.eye(2), np.zeros(2), (((0,), 1.0), ((0, 1), 1.0)))
     with pytest.raises(ValueError):
         QuadraticProgram(np.eye(2), np.zeros(2), (((0, 5), 1.0),))
+
+
+@pytest.mark.parametrize("equalities,message", [
+    (((np.array([], dtype=int), 1.0),), "equality blocks must be nonempty"),
+    (((np.array([0, 3]), 1.0),), "equality index out of range"),
+    (((np.array([-1, 0]), 1.0),), "equality index out of range"),
+    (((np.array([0, 1]), 1.0), (np.array([2, 1]), 1.0)), "equality blocks must be disjoint"),
+], ids=["empty", "past_end", "negative", "overlap"])
+def test_equality_block_errors(equalities, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        QuadraticProgram(np.eye(3), np.zeros(3), equalities)
+
+
+def test_equality_blocks_become_index_arrays():
+    qp = QuadraticProgram(np.eye(4), np.zeros(4), (((2, 0), 1), (np.array([3]), 2.0)))
+    assert [(idx.tolist(), target) for idx, target in qp.equalities] == [([2, 0], 1.0), ([3], 2.0)]
+    assert all(idx.dtype == np.intp for idx, _ in qp.equalities)
+    assert qp.block_of.tolist() == [0, -1, 0, 1]
 
 
 def _random_problem(rng, with_blocks=True):
@@ -246,7 +266,7 @@ def test_pivot_path_certifies_replication_qps(rarity, confounding):
 
 def test_eb_ate_qp_certifies_in_few_kkt_solves():
     qp = _replication_qps("common", "moderate")[0]
-    assert qp.n == 250 and len(qp.blocks) == 2
+    assert qp.n == 250 and len(qp.equalities) == 2
     sol = solve_qp(qp)
     assert sol.diagnostics["path"] == "pivot"
     assert sol.diagnostics["kkt_solves"] <= 10
@@ -263,3 +283,88 @@ def test_pivot_rounds_count_toward_max_iter():
     assert capped.diagnostics["path"] == "gradient"
     assert capped.iterations == 3
     assert capped.diagnostics["kkt_solves"] > 3  # the final polish solves too
+
+
+def _kom_qps():
+    """The KOM QPs of two seeded replications; each carries its spectrum."""
+    qps = [qp for rarity, confounding in (("common", "moderate"), ("rare", "high"))
+           for qp in _replication_qps(rarity, confounding) if qp.spectrum is not None]
+    assert len(qps) == 6 and all(qpsolver._certified_spectrum(qp) is not None for qp in qps)
+    return qps
+
+
+def _faces(monkeypatch, name):
+    """(n, free count) of every call to _spectral_kkt_solve(free, spectrum, ...)
+    or _face_is_convex(Q, free, qp)."""
+    seen = []
+    real = getattr(qpsolver, name)
+
+    def spy(*args):
+        free = args[1] if name == "_face_is_convex" else args[0]
+        seen.append((args[2].n if name == "_face_is_convex" else args[1][0].size, free.size))
+        return real(*args)
+
+    monkeypatch.setattr(qpsolver, name, spy)
+    return seen
+
+
+def test_spectral_and_dense_paths_agree_on_kom_qps(monkeypatch):
+    qps = _kom_qps()
+    spectral = _faces(monkeypatch, "_spectral_kkt_solve")
+    convexity = _faces(monkeypatch, "_face_is_convex")
+    for qp in qps:
+        sol = solve_qp(qp)
+        dense = solve_qp(dataclasses.replace(qp, spectrum=None))
+        assert sol.diagnostics == dense.diagnostics and sol.diagnostics["path"] == "pivot"
+        assert sol.kkt_residual <= 1e-8
+        np.testing.assert_allclose(sol.w, dense.w, rtol=0, atol=1e-12)
+    # the dense solves alone checked convexity; the spectral ones solved
+    # all-free faces and faces with dropped coordinates
+    assert len(convexity) == len(qps)
+    assert any(free == qp_n for qp_n, free in spectral)
+    assert any(free < qp_n for qp_n, free in spectral)
+
+
+def test_spectral_kkt_solve_matches_the_dense_face_solve():
+    qp = _kom_qps()[4]  # the rare/high replication's treated group: 31 coordinates
+    spectrum = qpsolver._certified_spectrum(qp)
+    rng = np.random.default_rng(8)
+    for dropped in (0, 1, 3, 10, 20):
+        free = np.sort(rng.permutation(qp.n)[dropped:])
+        E = np.ones((1, free.size))
+        sol = qpsolver._spectral_kkt_solve(free, spectrum, qp.c, E, np.array([1.0]))
+        cand, lams = qpsolver._kkt_solve(free, qp.Q, qp.c, qp)
+        np.testing.assert_allclose(sol[:-1], cand[free], rtol=0, atol=1e-12)
+        assert -sol[-1] == pytest.approx(lams[0], rel=1e-10)
+
+
+def test_spectrum_below_the_margin_takes_the_dense_path(monkeypatch):
+    rng = np.random.default_rng(9)
+    A = rng.standard_normal((12, 6))
+    Q = A @ A.T  # rank 6: the smallest eigenvalues are round-off
+    qp = QuadraticProgram(Q, rng.standard_normal(12), ((np.arange(12), 1.0),), spectrum=np.linalg.eigh(Q))
+    assert qpsolver._certified_spectrum(qp) is None
+    spectral = _faces(monkeypatch, "_spectral_kkt_solve")
+    convexity = _faces(monkeypatch, "_face_is_convex")
+    sol = solve_qp(qp)
+    dense = solve_qp(dataclasses.replace(qp, spectrum=None))
+    assert spectral == [] and len(convexity) == 2
+    assert sol.diagnostics == dense.diagnostics and sol.diagnostics["path"] == "pivot"
+    assert np.array_equal(sol.w, dense.w)
+
+
+def test_spectrum_that_does_not_match_q_is_refused(monkeypatch):
+    qp = _kom_qps()[0]
+    mu, U = qp.spectrum
+    wrong = dataclasses.replace(qp, spectrum=(2.0 * mu, U))  # the spectrum of 2Q
+    spectral = _faces(monkeypatch, "_spectral_kkt_solve")
+    sol = solve_qp(wrong)
+    assert spectral  # the pivot rounds used the wrong spectrum ...
+    assert sol.diagnostics["path"] == "gradient"  # ... and the residual check refused their point
+    assert sol.status == "optimal" and sol.kkt_residual <= 1e-8
+    np.testing.assert_allclose(sol.w, solve_qp(qp).w, rtol=0, atol=1e-6)
+
+
+def test_spectrum_shape_is_checked():
+    with pytest.raises(ValueError, match="spectrum"):
+        QuadraticProgram(np.eye(3), np.zeros(3), spectrum=(np.ones(2), np.eye(3)))

@@ -389,14 +389,16 @@ def test_gp_ridge_selection_matches_cholesky_reference():
     K_c, y_c = cases[1]
     cases.append((K_c - 0.05 * np.eye(y_c.size), y_c))
     for K_group, y_group in cases:
-        ridge, diag = gp_ridge_selection(K_group, y_group)
+        ridge, diag, (mu, U) = gp_ridge_selection(K_group, y_group)
         reference, evidence = _cholesky_ridge_selection(K_group, y_group)
         assert not diag["ridge_fallback"]
         assert ridge == pytest.approx(reference, rel=1e-12, abs=0)
         assert diag["ridge_evidence_max"] == pytest.approx(evidence, rel=1e-12, abs=0)
+        # the eigendecomposition KOM's QPs reuse
+        np.testing.assert_allclose((U * mu) @ U.T, K_group, rtol=0, atol=1e-12)
     assert np.linalg.eigvalsh(cases[2][0]).min() + 1e-2 < 0
     # no ridge in the grid makes K - 10 I positive definite
-    ridge, diag = gp_ridge_selection(K_c - 10.0 * np.eye(y_c.size), y_c, grid=(1e-3, 1.0))
+    ridge, diag, _ = gp_ridge_selection(K_c - 10.0 * np.eye(y_c.size), y_c, grid=(1e-3, 1.0))
     assert (ridge, diag) == (1.0, {"ridge_fallback": True})
 
 
