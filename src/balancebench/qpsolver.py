@@ -1,21 +1,23 @@
 """Deterministic solver for convex quadratic programs with nonnegativity and
 group-sum equality constraints.
 
-A solve first runs block active-set pivoting (Judice & Pires 1994) from the
+A solve runs block active-set pivoting (Judice & Pires 1994) from the
 all-free face: solve the face's KKT system, drop every negative coordinate,
 or else release every zeroed coordinate whose reduced gradient is negative.
-The point it ends on is accepted only when its face is strictly convex and a
-fresh fixed-point (KKT) residual, computed with the dense Q, is within
-tolerance. Strict convexity is certified by a Cholesky factor of the face's
-reduced Hessian, or, when the QP carries Q's eigendecomposition and its
-smallest eigenvalue clears eigh's backward error, by that bound for every
-face at once; such a QP also solves each face's KKT system from the
-eigendecomposition while that is cheaper than factoring the face.
-Otherwise the solve falls back to projected-gradient iteration:
-a proximal quadratic step with projection onto the scaled simplex of each
-equality block, an exact line search along the projected direction and a
-periodic active-set polish. Everything is deterministic: fixed iteration
-order, no randomized pivoting.
+When the number of coordinates a round moves has not reached a new low for
+_STALL_ROUNDS rounds, each later round exchanges only the lowest-index
+infeasible coordinate (Murty's rule), which keeps pivoting finite. The point
+it ends on is accepted only when its face is strictly convex and a fresh
+fixed-point (KKT) residual, computed with the dense Q, is within tolerance.
+Strict convexity is certified by a Cholesky factor of the face's reduced
+Hessian, or, when the QP carries Q's eigendecomposition and its smallest
+eigenvalue clears eigh's backward error, by that bound for every face at
+once; such a QP also solves each face's KKT system from the
+eigendecomposition while that is cheaper than factoring the face. A point
+that is not accepted gets one dense retry on Q plus a diagonal shift taken
+from Q's smallest eigenvalue along the feasible directions (see solve_qp);
+if that fails too, the uniform feasible point is returned, uncertified.
+Everything is deterministic: fixed pivoting order, no randomized choices.
 """
 
 from __future__ import annotations
@@ -31,8 +33,7 @@ STATUS_INFEASIBLE = "infeasible"
 _FREE_EPS = 1e-12
 _NEGATIVE = -1e-11  # a KKT coordinate below this leaves the face
 _RELEASE = -1e-10  # a zeroed coordinate with reduced gradient below this joins it
-_POLISH_EVERY = 25
-_PIVOT_ROUNDS = 20
+_STALL_ROUNDS = 10  # block rounds without a new low in coordinates moved before single pivots
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,6 @@ class QPSolution:
     iterations: int
     status: str
     diagonal_shift: float = 0.0
-    diagnostics: dict = field(default_factory=dict)
 
 
 def project_simplex(v: np.ndarray, total: float) -> np.ndarray:
@@ -114,25 +114,11 @@ def _project_feasible(v: np.ndarray, qp: QuadraticProgram) -> np.ndarray:
     return w
 
 
-def _feasible_start(qp: QuadraticProgram) -> np.ndarray:
+def _uniform_point(qp: QuadraticProgram) -> np.ndarray:
     w = np.zeros(qp.n)
     for idx, target in qp.equalities:
         w[idx] = target / idx.size
     return w
-
-
-def _spectral_bound(Q: np.ndarray) -> float:
-    # Power iteration from a fixed start; generous head-room since it
-    # approaches the spectral norm from below.
-    v = np.ones(Q.shape[0]) / np.sqrt(Q.shape[0])
-    norm = 0.0
-    for _ in range(60):
-        v = Q @ v
-        norm = float(np.linalg.norm(v))
-        if norm <= 1e-300:
-            return 0.0
-        v /= norm
-    return 1.25 * norm
 
 
 def _reduced_min_eigenvalue(Q: np.ndarray, qp: QuadraticProgram) -> float:
@@ -161,7 +147,8 @@ def _certified_spectrum(qp: QuadraticProgram):
 
 def _kkt_solve(free, Qs, c, qp, spectrum=None):
     """Equality-constrained solve on the free coordinates; returns the candidate
-    full vector and the per-block multipliers (None on numerical failure).
+    full vector and the per-block multipliers (None when the system is
+    singular or a block with a positive target has no free coordinate).
 
     With a certified `spectrum` (see _certified_spectrum) the solve goes
     through Q's eigendecomposition while that costs fewer flops than a dense
@@ -195,7 +182,7 @@ def _kkt_solve(free, Qs, c, qp, spectrum=None):
         try:
             sol = np.linalg.solve(kkt, rhs)
         except np.linalg.LinAlgError:
-            sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
+            return None, None
     if not np.all(np.isfinite(sol)):
         return None, None
     cand = np.zeros(qp.n)
@@ -246,46 +233,6 @@ def _natural_residual(w, g, qp) -> float:
     return float(np.max(np.abs(w - _project_feasible(w - g, qp))))
 
 
-def _polish(w, Qs, c, qp, objective, rounds: int = 3):
-    """Active-set refinement: repeatedly solve the KKT system on the free set,
-    dropping negative coordinates and releasing dual-infeasible ones. Only
-    feasible candidates that do not increase the objective are accepted.
-    Returns the point and the number of KKT solves."""
-    best = w
-    best_obj = objective(w)
-    free = np.nonzero(w > _FREE_EPS)[0]
-    solves = 0
-    for _ in range(rounds):
-        if free.size == 0:
-            break
-        cand, lams = _kkt_solve(free, Qs, c, qp)
-        solves += 1
-        if cand is None:
-            break
-        negative = cand.min() < _NEGATIVE
-        feasible = _project_feasible(cand, qp)
-        feas_obj = objective(feasible)
-        improved = feas_obj <= best_obj + 1e-12 * (1.0 + abs(best_obj))
-        if feas_obj <= best_obj:
-            best, best_obj = feasible, feas_obj
-        if negative:
-            # shrink the working set and retry
-            worst = int(free[np.argmin(cand[free])])
-            free = free[free != worst]
-            continue
-        # dual feasibility on the active bound
-        reduced = _reduced_gradient(Qs @ feasible + c, lams, qp)
-        zeroed = np.nonzero(feasible <= _FREE_EPS)[0]
-        viol = zeroed[reduced[zeroed] < _RELEASE]
-        if viol.size == 0:
-            if improved:
-                return feasible, solves  # KKT-certified on this working set
-            break
-        release = int(viol[np.argmin(reduced[viol])])
-        free = np.unique(np.append(np.nonzero(feasible > _FREE_EPS)[0], release))
-    return best, solves
-
-
 def _face_is_convex(Q, free, qp) -> bool:
     """Whether Q restricted to the face's feasible directions, the null space
     of the block-sum rows on the free coordinates, has a Cholesky factor.
@@ -310,158 +257,115 @@ def _face_is_convex(Q, free, qp) -> bool:
     return True
 
 
-def _pivot(Q, qp, rounds: int):
-    """Block active-set pivoting from the all-free face: solve the face's KKT
-    system, then drop every negative coordinate or, if there is none, release
-    every zeroed coordinate whose reduced gradient is negative.
+def _round_cap(n: int) -> int:
+    """Pivot rounds allowed per attempt. Single pivots move one coordinate a
+    round, and a coordinate may leave the face and rejoin it."""
+    return 2 * n + _STALL_ROUNDS
 
-    Returns the KKT point of the final face, or None when the rounds run out,
-    a block loses all its coordinates or the face is not strictly convex;
-    and the number of KKT solves. A certified spectrum (see
-    _certified_spectrum) stands for every face's convexity check."""
-    spectrum = _certified_spectrum(qp)
+
+def _block_pivot(free, cand, lams, Q, qp):
+    """One block round at the face's KKT point `cand`: drop every free
+    coordinate below _NEGATIVE or, if there is none, release every zeroed
+    coordinate of the projected point whose reduced gradient is below
+    _RELEASE. Returns the next face (None when nothing moves) and the number
+    of coordinates moved."""
+    negative = cand[free] < _NEGATIVE
+    if negative.any():
+        return free[~negative], int(negative.sum())
+    w = _project_feasible(cand, qp)
+    reduced = _reduced_gradient(Q @ w + qp.c, lams, qp)
+    zeroed = np.nonzero(w <= _FREE_EPS)[0]
+    release = zeroed[reduced[zeroed] < _RELEASE]
+    if release.size == 0:
+        return None, 0
+    return np.union1d(np.nonzero(w > _FREE_EPS)[0], release), release.size
+
+
+def _single_pivot(free, cand, lams, Q, qp):
+    """One round of Murty's rule: exchange only the lowest-index coordinate
+    that is infeasible at the face's KKT point `cand`, a free one below
+    _NEGATIVE or a zeroed one whose reduced gradient is below _RELEASE.
+    Returns the next face, or None when there is no such coordinate."""
+    on_face = np.zeros(qp.n, dtype=bool)
+    on_face[free] = True
+    reduced = _reduced_gradient(Q @ cand + qp.c, lams, qp)
+    infeasible = np.flatnonzero(np.where(on_face, cand < _NEGATIVE, reduced < _RELEASE))
+    if infeasible.size == 0:
+        return None
+    on_face[infeasible[0]] = not on_face[infeasible[0]]
+    return np.flatnonzero(on_face)
+
+
+def _pivot(Q, qp, spectrum):
+    """Active-set pivoting from the all-free face: block rounds while the
+    number of coordinates moved keeps reaching new lows, then single pivots
+    once it has not for _STALL_ROUNDS rounds (Judice & Pires 1994), so the
+    rounds cannot cycle.
+
+    Returns the projected KKT point of the final face, or None when a face's
+    KKT system is singular, the final face is not strictly convex or the
+    rounds run out; and the number of KKT solves. A certified `spectrum`
+    (see _certified_spectrum) stands for every face's convexity check."""
     free = np.arange(qp.n)
-    for solves in range(1, rounds + 1):
+    fewest, stalled = qp.n + 1, 0
+    cap = _round_cap(qp.n)
+    for solves in range(1, cap + 1):
         cand, lams = _kkt_solve(free, Q, qp.c, qp, spectrum)
         if cand is None:
             return None, solves
-        negative = cand[free] < _NEGATIVE
-        if negative.any():
-            free = free[~negative]
-            continue
-        w = _project_feasible(cand, qp)
-        reduced = _reduced_gradient(Q @ w + qp.c, lams, qp)
-        zeroed = np.nonzero(w <= _FREE_EPS)[0]
-        release = zeroed[reduced[zeroed] < _RELEASE]
-        if release.size:
-            free = np.union1d(np.nonzero(w > _FREE_EPS)[0], release)
-            continue
-        convex = spectrum is not None or _face_is_convex(Q, free, qp)
-        return (w if convex else None), solves
-    return None, rounds
+        if stalled < _STALL_ROUNDS:
+            face, moved = _block_pivot(free, cand, lams, Q, qp)
+            fewest, stalled = (moved, 0) if moved < fewest else (fewest, stalled + 1)
+        else:
+            face = _single_pivot(free, cand, lams, Q, qp)
+        if face is None:
+            convex = spectrum is not None or _face_is_convex(Q, free, qp)
+            return (_project_feasible(cand, qp) if convex else None), solves
+        free = face
+    return None, cap
 
 
-def solve_qp(
-    qp: QuadraticProgram,
-    tol: float = 1e-8,
-    max_iter: int = 50000,
-    trace: list | None = None,
-) -> QPSolution:
+def solve_qp(qp: QuadraticProgram, tol: float = 1e-8) -> QPSolution:
     """Solve the QP; status 'optimal' certifies a fixed-point (KKT) residual <= tol.
 
-    Active-set pivoting is tried first; a point it certifies is returned with
-    path "pivot". Pivoting certifies a point when its face is strictly convex
-    and its residual, computed with the dense Q, is within tol. When
-    qp.spectrum's smallest eigenvalue exceeds n * eps * max|mu| (eigh's
-    backward error), Q is positive definite, which certifies every face
-    without a factorization, and the face KKT systems are solved from the
-    spectrum while that is cheaper than a dense LU; otherwise each final face
-    needs a Cholesky factor of its reduced Hessian. When pivoting certifies
-    nothing, projected-gradient iteration runs from the uniform start (path
-    "gradient"). If the objective turns out to be
-    indefinite along the feasible directions (possible from floating-point
-    round-off in distance-based objectives), the smallest diagonal shift
-    restoring positive semidefiniteness on that subspace is applied and the
-    gradient solve restarts once; the shift is recorded. `iterations` counts
-    pivot rounds plus gradient steps and never exceeds `max_iter`; the
-    diagnostics hold the path and the number of KKT solves.
+    Pivoting (see _pivot) ends on a point that is certified when its face is
+    strictly convex and its residual, computed with the dense Q, is within
+    tol. When qp.spectrum's smallest eigenvalue exceeds n * eps * max|mu|
+    (eigh's backward error), Q is positive definite, which certifies every
+    face without a factorization, and the face KKT systems are solved from
+    the spectrum while that is cheaper than a dense LU; otherwise the final
+    face needs a Cholesky factor of its reduced Hessian.
+
+    A point that is not certified (a singular face, a final face that is not
+    strictly convex, the rounds run out, or the residual is above tol, as
+    with a spectrum that does not match Q) gets one retry: dense pivoting on
+    Q + shift * I, with shift = max(0, 1e-12 - lam) and lam the smallest
+    eigenvalue of Q projected onto the null space of the equality rows (see
+    _reduced_min_eigenvalue); distance-based objectives can be indefinite
+    there from floating-point round-off. The shift is recorded, and the
+    retry's residual is computed with the shifted Q. If the retry is not
+    certified either, the uniform feasible point is returned with status
+    'max_iter'. `iterations` counts the KKT solves of both attempts.
     """
-    return _solve_qp(qp, tol, max_iter, trace, _PIVOT_ROUNDS)
-
-
-def _solve_qp(qp, tol, max_iter, trace, pivot_rounds) -> QPSolution:
     for _, target in qp.equalities:
         if target < 0:
-            return QPSolution(
-                np.zeros(qp.n), float("nan"), float("inf"), 0, STATUS_INFEASIBLE,
-                diagnostics={"kkt_solves": 0, "path": "none"},
-            )
+            return QPSolution(np.zeros(qp.n), float("nan"), float("inf"), 0, STATUS_INFEASIBLE)
 
     # 0.5*(Q + Q') equals a symmetric Q bit for bit; skip the two n x n temporaries
     Q = qp.Q if np.array_equal(qp.Q, qp.Q.T) else 0.5 * (qp.Q + qp.Q.T)
 
-    def final_objective(w):
-        return float(0.5 * w @ (Q @ w) + qp.c @ w)
-
-    w, kkt_solves = _pivot(Q, qp, min(pivot_rounds, max_iter))
-    iterations = kkt_solves
-    if w is not None:
-        residual = _natural_residual(w, Q @ w + qp.c, qp)
-        if residual <= tol:
-            if trace is not None:
-                trace.append(final_objective(w))
-            return QPSolution(
-                w, final_objective(w), residual, iterations, STATUS_OPTIMAL,
-                diagnostics={"kkt_solves": kkt_solves, "path": "pivot"},
-            )
-
+    w, iterations = _pivot(Q, qp, _certified_spectrum(qp))
+    residual = float("inf") if w is None else _natural_residual(w, Q @ w + qp.c, qp)
     shift = 0.0
-    repaired = False
-
-    while True:
-        Qs = Q if shift == 0.0 else Q + shift * np.eye(qp.n)
-
-        def objective(w, _Qs=Qs):
-            return float(0.5 * w @ (_Qs @ w) + qp.c @ w)
-
-        L = _spectral_bound(Qs)
-        eta = 1.0 / max(L, tol)
-        w = _feasible_start(qp)
-        if trace is not None:
-            trace.append(objective(w))
-        residual = float("inf")
-        indefinite = False
-
-        while iterations < max_iter:
-            iterations += 1
-            g = Qs @ w + qp.c
-            residual = _natural_residual(w, g, qp)
-            if residual <= tol:
-                break
-            proposal = _project_feasible(w - eta * g, qp)
-            d = proposal - w
-            dQd = float(d @ (Qs @ d))
-            dnorm2 = float(d @ d)
-            if dnorm2 == 0.0:
-                break
-            if dQd < -1e-12 * max(L, 1.0) * dnorm2:
-                indefinite = True
-                break
-            gd = float(g @ d)
-            if gd >= 0.0 or not np.isfinite(gd):
-                break  # step is below numerical resolution; certify below
-            neg = d < 0
-            alpha_max = float(np.min(w[neg] / -d[neg])) if np.any(neg) else np.inf
-            if dQd > 0:
-                alpha = min(-gd / dQd, alpha_max)  # exact minimizer along d
-            else:
-                alpha = min(alpha_max, 1e6)
-            w = _project_feasible(w + alpha * d, qp)
-            if iterations % _POLISH_EVERY == 0:
-                w, solves = _polish(w, Qs, qp.c, qp, objective)
-                kkt_solves += solves
-            if trace is not None:
-                trace.append(objective(w))
-
-        if indefinite and not repaired:
-            repaired = True
-            lam_min = _reduced_min_eigenvalue(Q, qp)
-            new_shift = max(0.0, -lam_min) + 1e-12
-            if new_shift > shift:
-                shift = new_shift
-            if trace is not None:
-                trace.clear()
-            continue  # restart; a second detection falls through below
-
-        # Final refinement, exact feasibility, and a fresh certificate.
-        w = _project_feasible(w, qp)
-        w, solves = _polish(w, Qs, qp.c, qp, objective, rounds=30)
-        kkt_solves += solves
-        residual = _natural_residual(w, Qs @ w + qp.c, qp)
-        status = STATUS_OPTIMAL if residual <= tol else STATUS_MAX_ITER
-        if trace is not None:
-            trace.append(objective(w))
-        return QPSolution(
-            w, final_objective(w), residual, iterations, status, shift,
-            diagnostics={"kkt_solves": kkt_solves, "path": "gradient"},
-        )
+    if residual > tol:
+        shift = max(0.0, 1e-12 - _reduced_min_eigenvalue(Q, qp))
+        shifted = Q + shift * np.eye(qp.n)
+        w, solves = _pivot(shifted, qp, None)
+        iterations += solves
+        residual = float("inf") if w is None else _natural_residual(w, shifted @ w + qp.c, qp)
+        if residual > tol:
+            w = _uniform_point(qp)
+            residual = _natural_residual(w, shifted @ w + qp.c, qp)
+    status = STATUS_OPTIMAL if residual <= tol else STATUS_MAX_ITER
+    objective = float(0.5 * w @ (Q @ w) + qp.c @ w)
+    return QPSolution(w, objective, residual, iterations, status, shift)

@@ -226,8 +226,6 @@ def energy_balance(
         "solver_iterations": sol.iterations,
         "kkt_residual": sol.kkt_residual,
         "diagonal_shift": sol.diagonal_shift,
-        "kkt_solves": sol.diagnostics["kkt_solves"],
-        "path": sol.diagnostics["path"],
         # the QP objective plus the terms free of w: energy_distance_objective at raw
         "energy_objective": sol.objective + constant,
     }
@@ -349,8 +347,6 @@ def kom_weights(
             "solver_iterations": sum(s.iterations for s in sols),
             "kkt_residual": max(s.kkt_residual for s in sols),
             "diagonal_shift": max(s.diagonal_shift for s in sols),
-            "kkt_solves": sum(s.diagnostics["kkt_solves"] for s in sols),
-            "path": "pivot" if all(s.diagnostics["path"] == "pivot" for s in sols) else "gradient",
         }
     )
     return _finish(w, estimand, "kom", kept, T, extra)

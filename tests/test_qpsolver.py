@@ -1,16 +1,13 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
 import balancebench as bb
 from balancebench import qpsolver, weights
-from balancebench.qpsolver import QuadraticProgram, _solve_qp, project_simplex, solve_qp
-
-
-def solve_by_gradient(qp):
-    """The projected-gradient fallback alone, with no pivot rounds."""
-    return _solve_qp(qp, 1e-8, 50000, None, 0)
+from balancebench.qpsolver import QuadraticProgram, project_simplex, solve_qp
+from balancebench.scenarios import CONFOUNDING_LEVELS, RARITY_LEVELS
 
 
 def brute_force_simplex(Q, c, total=1.0, step=1e-3):
@@ -144,18 +141,6 @@ def test_kkt_certificates_on_random_problems():
         _check_kkt(qp, sol)
 
 
-def test_objective_monotone_nonincreasing():
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        qp = _random_problem(rng)
-        trace: list = []
-        _solve_qp(qp, 1e-8, 50000, trace, 0)
-        assert len(trace) > 1
-        diffs = np.diff(np.array(trace))
-        scale = 1.0 + np.abs(trace[0])
-        assert np.all(diffs <= 1e-12 * scale)
-
-
 def test_solution_invariant_under_permutation():
     rng = np.random.default_rng(3)
     n = 8
@@ -176,16 +161,18 @@ def test_solution_invariant_under_permutation():
     np.testing.assert_allclose(solp.w[inv], sol.w, atol=1e-7)
 
 
-def test_max_iter_returns_best_iterate():
+def test_round_cap_returns_the_uniform_point_with_max_iter(monkeypatch):
     rng = np.random.default_rng(4)
     A = rng.standard_normal((30, 30))
     Q = A @ A.T
     c = rng.standard_normal(30)
     qp = QuadraticProgram(Q, c, ((tuple(range(30)), 1.0),))
-    sol = solve_qp(qp, max_iter=2)
-    assert sol.status in ("optimal", "max_iter")
-    assert sol.iterations <= 2
-    assert abs(sol.w.sum() - 1.0) < 1e-9  # still exactly feasible
+    monkeypatch.setattr(qpsolver, "_round_cap", lambda n: 1)
+    sol = solve_qp(qp)
+    assert sol.status == "max_iter"
+    assert sol.iterations == 2  # one round for the first attempt, one for the retry
+    assert np.array_equal(sol.w, np.full(30, 1.0 / 30))  # exactly feasible
+    assert sol.kkt_residual > 1e-8
 
 
 def test_linear_objective_reaches_vertex():
@@ -200,10 +187,9 @@ def test_subspace_indefinite_gets_diagonal_shift():
     Q = np.array([[0.0, 1.0], [1.0, 0.0]])
     qp = QuadraticProgram(Q, np.array([-0.1, 0.0]), (((0, 1), 1.0),))
     sol = solve_qp(qp)
+    # the all-free face is a saddle, so only the shifted retry certifies a point
     assert sol.diagonal_shift > 0
     assert sol.status == "optimal"
-    # the all-free face is a saddle, so pivoting must not certify it
-    assert sol.diagnostics["path"] == "gradient"
 
 
 def test_unconstrained_coordinates_clip_at_zero():
@@ -218,24 +204,33 @@ def test_unconstrained_coordinates_clip_at_zero():
     assert sol.w[3] == pytest.approx(0.5, abs=1e-8)  # interior optimum at -c/Q
 
 
-def _assert_pivot_matches_gradient(qp):
+def _assert_pivot_certifies(qp):
+    """Pivoting certifies the QP without a shift, and its point satisfies the
+    KKT conditions, which for these convex QPs prove it globally optimal."""
     sol = solve_qp(qp)
-    assert sol.diagnostics["path"] == "pivot"
     assert sol.status == "optimal" and sol.diagonal_shift == 0.0
     assert sol.kkt_residual <= 1e-8
-    assert sol.iterations == sol.diagnostics["kkt_solves"]
-    fallback = solve_by_gradient(qp)
-    assert fallback.diagnostics["path"] == "gradient"
-    assert fallback.status == "optimal"
-    np.testing.assert_allclose(sol.w, fallback.w, rtol=0, atol=1e-8)
+    _check_kkt(qp, sol)
     return sol
+
+
+def _single_pivots(monkeypatch):
+    """A list that grows by one for every single-pivot round."""
+    seen = []
+    real = qpsolver._single_pivot
+
+    def spy(*args):
+        seen.append(args[0].size)
+        return real(*args)
+
+    monkeypatch.setattr(qpsolver, "_single_pivot", spy)
+    return seen
 
 
 def test_pivot_path_certifies_random_problems():
     rng = np.random.default_rng(1)
     for _ in range(40):
-        qp = _random_problem(rng)
-        _check_kkt(qp, _assert_pivot_matches_gradient(qp))
+        _assert_pivot_certifies(_random_problem(rng))
 
 
 def _replication_qps(rarity, confounding, n=250, seed=21):
@@ -256,20 +251,35 @@ def _replication_qps(rarity, confounding, n=250, seed=21):
     return captured
 
 
-@pytest.mark.parametrize("rarity,confounding", [("common", "moderate"), ("very_rare", "low")])
-def test_pivot_path_certifies_replication_qps(rarity, confounding):
+@pytest.mark.parametrize("rarity,confounding", list(itertools.product(RARITY_LEVELS, CONFOUNDING_LEVELS)))
+def test_pivot_path_certifies_replication_qps(monkeypatch, rarity, confounding):
     qps = _replication_qps(rarity, confounding)
     assert len(qps) == 5  # EB-ATE, EB-ATT, KOM-ATE per group, KOM-ATT
+    single = _single_pivots(monkeypatch)
     for qp in qps:
-        _assert_pivot_matches_gradient(qp)
+        _assert_pivot_certifies(qp)
+    assert single == []  # block rounds alone reach every optimal face
+
+
+def test_single_pivots_reach_the_block_rounds_point(monkeypatch):
+    rng = np.random.default_rng(1)
+    qps = [_random_problem(rng) for _ in range(40)] + _replication_qps("common", "moderate")
+    block = [solve_qp(qp) for qp in qps]
+    single = _single_pivots(monkeypatch)
+    monkeypatch.setattr(qpsolver, "_STALL_ROUNDS", 0)  # every round is a single pivot
+    for qp, ref in zip(qps, block):
+        before = len(single)
+        sol = _assert_pivot_certifies(qp)
+        assert len(single) - before == sol.iterations
+        np.testing.assert_allclose(sol.w, ref.w, rtol=0, atol=1e-12)
 
 
 def test_eb_ate_qp_certifies_in_few_kkt_solves():
     qp = _replication_qps("common", "moderate")[0]
     assert qp.n == 250 and len(qp.equalities) == 2
     sol = solve_qp(qp)
-    assert sol.diagnostics["path"] == "pivot"
-    assert sol.diagnostics["kkt_solves"] <= 10
+    assert sol.status == "optimal"
+    assert sol.iterations <= 10
 
 
 def test_pivot_rounds_count_toward_max_iter():
@@ -277,12 +287,7 @@ def test_pivot_rounds_count_toward_max_iter():
     A = rng.standard_normal((30, 30))
     qp = QuadraticProgram(A @ A.T, rng.standard_normal(30), ((tuple(range(30)), 1.0),))
     full = solve_qp(qp)
-    assert full.diagnostics == {"kkt_solves": 4, "path": "pivot"} and full.iterations == 4
-    # three rounds are too few to pivot there; the budget leaves no gradient steps
-    capped = solve_qp(qp, max_iter=3)
-    assert capped.diagnostics["path"] == "gradient"
-    assert capped.iterations == 3
-    assert capped.diagnostics["kkt_solves"] > 3  # the final polish solves too
+    assert full.status == "optimal" and full.iterations == 4  # one KKT solve per round
 
 
 def _kom_qps():
@@ -315,7 +320,8 @@ def test_spectral_and_dense_paths_agree_on_kom_qps(monkeypatch):
     for qp in qps:
         sol = solve_qp(qp)
         dense = solve_qp(dataclasses.replace(qp, spectrum=None))
-        assert sol.diagnostics == dense.diagnostics and sol.diagnostics["path"] == "pivot"
+        assert sol.status == dense.status == "optimal"
+        assert sol.iterations == dense.iterations and sol.diagonal_shift == dense.diagonal_shift == 0.0
         assert sol.kkt_residual <= 1e-8
         np.testing.assert_allclose(sol.w, dense.w, rtol=0, atol=1e-12)
     # the dense solves alone checked convexity; the spectral ones solved
@@ -349,7 +355,8 @@ def test_spectrum_below_the_margin_takes_the_dense_path(monkeypatch):
     sol = solve_qp(qp)
     dense = solve_qp(dataclasses.replace(qp, spectrum=None))
     assert spectral == [] and len(convexity) == 2
-    assert sol.diagnostics == dense.diagnostics and sol.diagnostics["path"] == "pivot"
+    assert sol.status == dense.status == "optimal"
+    assert sol.iterations == dense.iterations and sol.diagonal_shift == dense.diagonal_shift == 0.0
     assert np.array_equal(sol.w, dense.w)
 
 
@@ -358,9 +365,10 @@ def test_spectrum_that_does_not_match_q_is_refused(monkeypatch):
     mu, U = qp.spectrum
     wrong = dataclasses.replace(qp, spectrum=(2.0 * mu, U))  # the spectrum of 2Q
     spectral = _faces(monkeypatch, "_spectral_kkt_solve")
+    convexity = _faces(monkeypatch, "_face_is_convex")
     sol = solve_qp(wrong)
     assert spectral  # the pivot rounds used the wrong spectrum ...
-    assert sol.diagnostics["path"] == "gradient"  # ... and the residual check refused their point
+    assert len(convexity) == 1  # ... the residual check refused their point, and the dense retry certified
     assert sol.status == "optimal" and sol.kkt_residual <= 1e-8
     np.testing.assert_allclose(sol.w, solve_qp(qp).w, rtol=0, atol=1e-6)
 
