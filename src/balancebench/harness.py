@@ -373,40 +373,60 @@ def _worker(args):
     return run_replication(spec, replication, config, tlf_hyper)
 
 
+def _run_scenarios(config: RunConfig, scenarios, progress=None) -> list[ReplicationRecord]:
+    """The records of `scenarios`, in order (see run). Every scenario's tasks,
+    TLF selection included, are built here first; with workers > 1 they all go
+    to one process pool, so no worker idles between scenarios, and an error
+    while collecting cancels the work not yet started."""
+    start = time.perf_counter()
+    tasks = []
+    for scenario in scenarios:
+        n, rarity, confounding = scenario
+        tlf_hyper = tlf_hyperparameters(build_scenario(rarity, confounding, n, config.master_seed), config)
+        tasks.append([(scenario, rep, config, tlf_hyper) for rep in range(config.replications)])
+    expected = config.replications * len(config.cells()) * len(config.estimators) * len(config.estimands)
+    if config.crude:
+        expected += config.replications
+
+    def collect(batches_by_scenario):
+        all_records: list[ReplicationRecord] = []
+        last = start
+        for i, (scenario, batches) in enumerate(zip(scenarios, batches_by_scenario)):
+            records = [r for batch in batches for r in batch]
+            records.sort(key=_sort_key)
+            if len(records) != expected:
+                raise BalanceBenchError(f"record count {len(records)} != expected {expected}")
+            all_records.extend(records)
+            if progress is not None:
+                now = time.perf_counter()
+                progress(i, scenario, now - last)
+                last = now
+        return all_records
+
+    if config.workers == 1:
+        return collect(map(_worker, t) for t in tasks)
+    chunk = max(1, config.replications // (config.workers * 8))
+    with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        try:
+            return collect([pool.map(_worker, t, chunksize=chunk) for t in tasks])
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
 def run_scenario(config: RunConfig, scenario) -> list[ReplicationRecord]:
     """All replication records for one scenario, in deterministic order."""
     if isinstance(scenario, ScenarioSpec):
         scenario = (scenario.n, scenario.rarity, scenario.confounding)
-    n, rarity, confounding = scenario
-    spec = build_scenario(rarity, confounding, n, config.master_seed)
-    tlf_hyper = tlf_hyperparameters(spec, config)
-    tasks = [(scenario, rep, config, tlf_hyper) for rep in range(config.replications)]
-    if config.workers == 1:
-        batches = [_worker(t) for t in tasks]
-    else:
-        chunk = max(1, config.replications // (config.workers * 8))
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            batches = list(pool.map(_worker, tasks, chunksize=chunk))
-    records = [r for batch in batches for r in batch]
-    records.sort(key=_sort_key)
-    expected = config.replications * len(config.cells()) * len(config.estimators) * len(config.estimands)
-    if config.crude:
-        expected += config.replications
-    if len(records) != expected:
-        raise BalanceBenchError(f"record count {len(records)} != expected {expected}")
-    return records
+    return _run_scenarios(config, [scenario])
 
 
 def run(config: RunConfig, progress=None) -> list[ReplicationRecord]:
-    """Run every configured scenario; `progress` (if given) is called per scenario."""
-    all_records: list[ReplicationRecord] = []
-    for i, scenario in enumerate(config.scenarios):
-        t0 = time.perf_counter()
-        recs = run_scenario(config, scenario)
-        all_records.extend(recs)
-        if progress is not None:
-            progress(i, scenario, time.perf_counter() - t0)
-    return all_records
+    """Every configured scenario's records, through one process pool when
+    workers > 1. `progress(i, scenario, seconds)`, if given, is called once per
+    scenario in order; the seconds are those since the previous call (the first
+    since the start of the run), so they add up to the run's wall time."""
+    return _run_scenarios(config, config.scenarios, progress)
 
 
 # ---------------------------------------------------------------------------

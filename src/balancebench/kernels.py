@@ -2,7 +2,7 @@
 
 Gaussian Grams come from squared Euclidean distances through one matrix
 product; Laplacian Grams from L1 distances summed one covariate column at a
-time within 256-row blocks, in the order numpy's own pairwise sum uses, so
+time within 32-row blocks, in the order numpy's own pairwise sum uses, so
 that they match the broadcast sum bit for bit at a fraction of its memory."""
 
 from __future__ import annotations
@@ -46,11 +46,13 @@ def distance_matrix(X: np.ndarray, Z: np.ndarray | None = None) -> np.ndarray:
     return d
 
 
-def _l1_distances(X: np.ndarray, Z: np.ndarray, block: int = 256) -> np.ndarray:
+def _l1_distances(X: np.ndarray, Z: np.ndarray, block: int = 32) -> np.ndarray:
     """Pairwise L1 distances, equal bit for bit to
     np.abs(X[:, None, :] - Z[None, :, :]).sum(axis=2) without its 3-D
-    temporary: each 256-row block adds one covariate column at a time, in
-    the order of numpy's pairwise summation."""
+    temporary: each block of rows adds one covariate column at a time, in
+    the order of numpy's pairwise summation. A row's sum does not depend on
+    the block; small blocks keep the 8 accumulators in cache and out of
+    freshly mapped pages."""
     out = np.empty((X.shape[0], Z.shape[0]))
     for start in range(0, X.shape[0], block):
         stop = min(start + block, X.shape[0])

@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericError
-from .scenarios import ScenarioSpec, expit, propensity_scores, response_scores
+from .scenarios import ScenarioSpec, _expit_from, expit, propensity_scores, response_scores
 
 TARGETS = ("propensity", "outcome")
 FORMS = ("well_specified", "misspecified")
@@ -64,25 +64,27 @@ class LogisticModel:
         return "\n".join(lines)
 
 
-def _log_likelihood(eta: np.ndarray, y: np.ndarray) -> float:
-    # sum y*eta - log(1 + exp(eta)), computed stably
-    return float(np.sum(y * eta - (np.maximum(eta, 0.0) + np.log1p(np.exp(-np.abs(eta))))))
+def _log_likelihood(eta: np.ndarray, y: np.ndarray, e: np.ndarray) -> float:
+    # sum y*eta - log(1 + exp(eta)), computed stably from e = exp(-|eta|)
+    return float(np.sum(y * eta - (np.maximum(eta, 0.0) + np.log1p(e))))
 
 
 def _irls(Z: np.ndarray, y: np.ndarray, ridge: float, max_iter: int, gtol: float):
     n, p = Z.shape
     pen = np.full(p, ridge)
     pen[0] = 0.0  # intercept unpenalized
+    pen_diag = np.diag(pen)
     beta = np.zeros(p)
     eta = Z @ beta
-    obj = _log_likelihood(eta, y) - 0.5 * float(pen @ beta**2)
+    e = np.exp(-np.abs(eta))  # one exp per iterate: the likelihood and mu share it
+    obj = _log_likelihood(eta, y, e) - 0.5 * float(pen @ beta**2)
     for _ in range(max_iter):
-        mu = expit(eta)
+        mu = _expit_from(eta, e)
         grad = Z.T @ (y - mu) - pen * beta
         if np.max(np.abs(grad)) < gtol:
             return beta, True
         w = np.maximum(mu * (1.0 - mu), 1e-10)
-        hess = Z.T @ (w[:, None] * Z) + np.diag(pen)
+        hess = Z.T @ (w[:, None] * Z) + pen_diag
         try:
             delta = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
@@ -92,16 +94,17 @@ def _irls(Z: np.ndarray, y: np.ndarray, ridge: float, max_iter: int, gtol: float
         while step >= 1e-10:
             cand = beta + step * delta
             eta_c = Z @ cand
-            obj_c = _log_likelihood(eta_c, y) - 0.5 * float(pen @ cand**2)
+            e_c = np.exp(-np.abs(eta_c))
+            obj_c = _log_likelihood(eta_c, y, e_c) - 0.5 * float(pen @ cand**2)
             if np.isfinite(obj_c) and obj_c >= obj - 1e-12:
-                beta, eta, obj = cand, eta_c, obj_c
+                beta, eta, e, obj = cand, eta_c, e_c, obj_c
                 break
             step *= 0.5
         else:
             return beta, False
         if not np.all(np.isfinite(beta)) or np.max(np.abs(beta)) > 1e3:
             return beta, False
-    mu = expit(Z @ beta)
+    mu = _expit_from(eta, e)
     grad = Z.T @ (y - mu) - pen * beta
     return beta, bool(np.max(np.abs(grad)) < gtol)
 

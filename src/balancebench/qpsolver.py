@@ -10,13 +10,14 @@ infeasible coordinate (Murty's rule), which keeps pivoting finite. The point
 it ends on is accepted only when its face is strictly convex and a fresh
 fixed-point (KKT) residual, computed with the dense Q, is within tolerance.
 Strict convexity is certified by a Cholesky factor of the face's reduced
-Hessian, or, when the QP carries Q's eigendecomposition and its smallest
-eigenvalue clears eigh's backward error, by that bound for every face at
-once; such a QP also solves each face's KKT system from the
-eigendecomposition while that is cheaper than factoring the face. A point
-that is not accepted gets one dense retry on Q plus a diagonal shift taken
-from Q's smallest eigenvalue along the feasible directions (see solve_qp);
-if that fails too, the uniform feasible point is returned, uncertified.
+Hessian, or, when the QP carries Q's eigendecomposition, its smallest
+eigenvalue clears eigh's backward error and it reproduces Q @ 1, by that
+bound for every face at once; such a QP also solves each face's KKT system
+from the eigendecomposition while that is cheaper than factoring the face.
+A point that is not accepted gets one dense retry on Q plus a diagonal shift
+taken from Q's smallest eigenvalue along the feasible directions (see
+solve_qp); if that fails too, the uniform feasible point is returned,
+uncertified.
 Everything is deterministic: fixed pivoting order, no randomized choices.
 """
 
@@ -122,27 +123,29 @@ def _uniform_point(qp: QuadraticProgram) -> np.ndarray:
 
 
 def _reduced_min_eigenvalue(Q: np.ndarray, qp: QuadraticProgram) -> float:
-    """Smallest eigenvalue of Q restricted to the equality-constraint null space."""
-    n = qp.n
-    P = np.eye(n)
-    for idx, _ in qp.equalities:
-        e = np.zeros(n)
-        e[idx] = 1.0 / np.sqrt(idx.size)
-        P -= np.outer(e, e)
-    M = P @ Q @ P
-    M = 0.5 * (M + M.T)
-    return float(np.linalg.eigvalsh(M)[0])
+    """Smallest eigenvalue of Z'QZ, with Z the basis of the equality-constraint
+    null space that _reduced_hessian forms (inf when that space is trivial).
+    Z'Z >= I for that basis, so Q + max(0, 1e-12 - lam) I is positive definite
+    on the null space."""
+    M = _reduced_hessian(Q, np.arange(qp.n), qp)
+    return float(np.linalg.eigvalsh(M)[0]) if M.size else float("inf")
 
 
 def _certified_spectrum(qp: QuadraticProgram):
     """qp.spectrum when its smallest eigenvalue exceeds eigh's backward error
     bound n * eps * max|mu|, which makes Q positive definite and every face
-    strictly convex; otherwise None."""
+    strictly convex, and it reproduces Q @ 1 to within that bound times
+    ||1||_2 = sqrt(n), so that the spectrum of another matrix is refused before
+    any pivot round uses it; otherwise None."""
     if qp.spectrum is None:
         return None
-    mu = qp.spectrum[0]
+    mu, U = qp.spectrum
     margin = qp.n * np.finfo(float).eps * float(np.abs(mu).max())
-    return qp.spectrum if float(mu.min()) > margin else None
+    if not float(mu.min()) > margin:
+        return None
+    ones = np.ones(qp.n)
+    mismatch = float(np.abs(qp.Q @ ones - U @ (mu * (U.T @ ones))).max())
+    return qp.spectrum if mismatch <= margin * np.sqrt(qp.n) else None
 
 
 def _kkt_solve(free, Qs, c, qp, spectrum=None):
@@ -233,12 +236,11 @@ def _natural_residual(w, g, qp) -> float:
     return float(np.max(np.abs(w - _project_feasible(w - g, qp))))
 
 
-def _face_is_convex(Q, free, qp) -> bool:
-    """Whether Q restricted to the face's feasible directions, the null space
-    of the block-sum rows on the free coordinates, has a Cholesky factor.
-
-    The basis pairs each free coordinate of a block with the block's last
-    free coordinate, so Z'QZ is formed by column and row differences."""
+def _reduced_hessian(Q, free, qp) -> np.ndarray:
+    """Z'QZ for a basis Z of the face's feasible directions, the null space of
+    the block-sum rows on the free coordinates. The basis pairs each free
+    coordinate of a block with the block's last free coordinate, so Z'QZ is
+    formed by column and row differences."""
     M = Q.copy() if free.size == qp.n else Q[free][:, free]
     free_block = qp.block_of[free]
     keep = np.ones(free.size, dtype=bool)
@@ -250,8 +252,13 @@ def _face_is_convex(Q, free, qp) -> bool:
         M[:, rest] -= M[:, [last]]
         M[rest, :] -= M[[last], :]
         keep[last] = False
+    return M[keep][:, keep]
+
+
+def _face_is_convex(Q, free, qp) -> bool:
+    """Whether the face's reduced Hessian (see _reduced_hessian) has a Cholesky factor."""
     try:
-        np.linalg.cholesky(M[keep][:, keep])
+        np.linalg.cholesky(_reduced_hessian(Q, free, qp))
     except np.linalg.LinAlgError:
         return False
     return True
@@ -331,17 +338,18 @@ def solve_qp(qp: QuadraticProgram, tol: float = 1e-8) -> QPSolution:
     Pivoting (see _pivot) ends on a point that is certified when its face is
     strictly convex and its residual, computed with the dense Q, is within
     tol. When qp.spectrum's smallest eigenvalue exceeds n * eps * max|mu|
-    (eigh's backward error), Q is positive definite, which certifies every
+    (eigh's backward error) and the spectrum reproduces Q @ 1 (see
+    _certified_spectrum), Q is positive definite, which certifies every
     face without a factorization, and the face KKT systems are solved from
     the spectrum while that is cheaper than a dense LU; otherwise the final
     face needs a Cholesky factor of its reduced Hessian.
 
     A point that is not certified (a singular face, a final face that is not
-    strictly convex, the rounds run out, or the residual is above tol, as
-    with a spectrum that does not match Q) gets one retry: dense pivoting on
-    Q + shift * I, with shift = max(0, 1e-12 - lam) and lam the smallest
-    eigenvalue of Q projected onto the null space of the equality rows (see
-    _reduced_min_eigenvalue); distance-based objectives can be indefinite
+    strictly convex, the rounds run out, or the residual is above tol) gets
+    one retry: dense pivoting on Q + shift * I, with shift = max(0, 1e-12 - lam)
+    and lam the smallest eigenvalue of Q's reduced Hessian on the null space of
+    the equality rows (see _reduced_min_eigenvalue), so a Q that is positive
+    definite there gets no shift; distance-based objectives can be indefinite
     there from floating-point round-off. The shift is recorded, and the
     retry's residual is computed with the shifted Q. If the retry is not
     certified either, the uniform feasible point is returned with status

@@ -47,15 +47,15 @@ HYPER_STREAM = 2**32
 
 def expit(z):
     """Numerically stable logistic function."""
-    z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    out = np.empty_like(z_arr)
-    pos = z_arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z_arr[pos]))
-    ez = np.exp(z_arr[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    if np.ndim(z) == 0:
-        return float(out[0])
-    return out.reshape(np.shape(z))
+    z_arr = np.asarray(z, dtype=float)
+    out = _expit_from(z_arr, np.exp(-np.abs(z_arr)))
+    return float(out) if np.ndim(z) == 0 else out
+
+
+def _expit_from(z, e):
+    """expit(z) from e = exp(-|z|): 1/(1+e) where z >= 0, e/(1+e) below, which
+    are the doubles of 1/(1+exp(-z)) and exp(z)/(1+exp(z)) respectively."""
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass(frozen=True)

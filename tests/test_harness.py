@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -301,11 +302,69 @@ def test_uncertified_tlf_fit_becomes_invalid_record(monkeypatch):
     assert all(not r.valid and r.reason == "solver_max_iter" for r in records)
 
 
+TWO_SCENARIOS = ((250, "common", "low"), (250, "rare", "low"))
+
+
 def test_record_count_mismatch_raises(monkeypatch):
     real = harness.run_replication
     monkeypatch.setattr(harness, "run_replication", lambda *args: real(*args)[:-1])
     with pytest.raises(BalanceBenchError, match="record count"):
         run_scenario(small_config(), (250, "common", "low"))
+    # pool workers are forked, so they run the patched function too
+    with pytest.raises(BalanceBenchError, match="record count"):
+        bb.run(small_config(scenarios=TWO_SCENARIOS, workers=2))
+
+
+def _all_but_wall_time(records):
+    return [repr(dataclasses.replace(r, wall_time=0.0)) for r in records]
+
+
+def _count_pools(monkeypatch):
+    """A list that gets the max_workers of every pool harness opens."""
+    opened = []
+
+    class Counted(harness.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Counted)
+    return opened
+
+
+def test_run_opens_one_pool_and_matches_run_scenario(monkeypatch):
+    scenarios = TWO_SCENARIOS + ((300, "very_rare", "high"),)
+    config = small_config(scenarios=scenarios, replications=3, methods=("iptw", "eb"),
+                          learners=("oracle", "logistic_mis"), estimators=("WA", "AWA"), crude=True)
+    expected = _all_but_wall_time([r for s in scenarios for r in run_scenario(config, s)])
+    opened = _count_pools(monkeypatch)
+    for workers in (1, 2):
+        calls = []
+        records = bb.run(dataclasses.replace(config, workers=workers),
+                         progress=lambda *args: calls.append(args))
+        assert _all_but_wall_time(records) == expected
+        assert [(i, scenario) for i, scenario, _ in calls] == list(enumerate(scenarios))
+        assert all(seconds >= 0.0 for _, _, seconds in calls)
+        assert opened == ([] if workers == 1 else [2])
+
+
+def test_error_while_collecting_cancels_the_rest_of_the_run(monkeypatch, tmp_path):
+    ran = tmp_path / "ran"
+    real = harness.run_replication
+
+    def first_short_rest_slow(spec, *args):
+        if spec.rarity == "common":
+            return real(spec, *args)[:-1]
+        with open(ran, "a") as fh:
+            fh.write("x")
+        time.sleep(1.0)
+        return real(spec, *args)
+
+    monkeypatch.setattr(harness, "run_replication", first_short_rest_slow)
+    with pytest.raises(BalanceBenchError, match="record count"):
+        bb.run(small_config(scenarios=TWO_SCENARIOS, replications=10, workers=2))
+    # only the tasks already handed to a worker ran, not the second scenario's ten
+    assert len(ran.read_text() if ran.exists() else "") < 10
 
 
 def test_crude_mode_adds_records():

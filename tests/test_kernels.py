@@ -63,7 +63,7 @@ def test_cross_gram_shape_and_values():
 
 @pytest.mark.parametrize("d", range(1, 21))
 def test_l1_distances_equal_broadcast_sum_bit_for_bit(d):
-    # 300 rows span two 256-row blocks; Z is rectangular
+    # 300 rows span ten 32-row blocks, the last one partial; Z is rectangular
     rng = np.random.default_rng(d)
     X, Z = rng.standard_normal((300, d)), rng.standard_normal((70, d))
     reference = np.abs(X[:, None, :] - Z[None, :, :]).sum(axis=2)

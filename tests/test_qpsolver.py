@@ -364,13 +364,34 @@ def test_spectrum_that_does_not_match_q_is_refused(monkeypatch):
     qp = _kom_qps()[0]
     mu, U = qp.spectrum
     wrong = dataclasses.replace(qp, spectrum=(2.0 * mu, U))  # the spectrum of 2Q
+    assert qpsolver._certified_spectrum(wrong) is None
     spectral = _faces(monkeypatch, "_spectral_kkt_solve")
     convexity = _faces(monkeypatch, "_face_is_convex")
     sol = solve_qp(wrong)
-    assert spectral  # the pivot rounds used the wrong spectrum ...
-    assert len(convexity) == 1  # ... the residual check refused their point, and the dense retry certified
-    assert sol.status == "optimal" and sol.kkt_residual <= 1e-8
-    np.testing.assert_allclose(sol.w, solve_qp(qp).w, rtol=0, atol=1e-6)
+    dense = solve_qp(dataclasses.replace(qp, spectrum=None))
+    # refused up front: the dense path alone, with no retry and no shift
+    assert not spectral and len(convexity) == 2
+    assert sol.status == "optimal" and sol.diagonal_shift == 0.0 and sol.iterations == dense.iterations
+    assert np.array_equal(sol.w, dense.w)
+
+
+def test_retry_on_a_positive_definite_qp_is_not_shifted(monkeypatch):
+    qp = _kom_qps()[0]
+    assert qpsolver._reduced_min_eigenvalue(qp.Q, qp) > 1e-12
+    real = qpsolver._pivot
+    attempts = []
+
+    def fail_first(*args):
+        attempts.append(args[2])
+        return (None, 1) if len(attempts) == 1 else real(*args)
+
+    monkeypatch.setattr(qpsolver, "_pivot", fail_first)
+    sol = solve_qp(qp)
+    # the retry pivots densely on Q + 0 * I, which is Q itself
+    assert len(attempts) == 2 and attempts[1] is None
+    assert sol.status == "optimal" and sol.diagonal_shift == 0.0
+    monkeypatch.setattr(qpsolver, "_pivot", real)
+    assert np.array_equal(sol.w, solve_qp(dataclasses.replace(qp, spectrum=None)).w)
 
 
 def test_spectrum_shape_is_checked():

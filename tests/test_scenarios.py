@@ -21,6 +21,18 @@ def test_build_scenario_constants():
     assert (spec.a0, spec.g, spec.b0) == (-2.22, 2.25, -4.12)
 
 
+def test_expit_equals_the_branchwise_formula_bit_for_bit():
+    rng = np.random.default_rng(0)
+    z = np.concatenate([rng.standard_normal(1000) * scale for scale in (1.0, 10.0, 300.0)]
+                       + [np.array([0.0, -0.0, 745.0, -745.0, 800.0, -800.0, np.inf, -np.inf])])
+    with np.errstate(over="ignore"):
+        reference = np.array([1.0 / (1.0 + np.exp(-v)) if v >= 0 else np.exp(v) / (1.0 + np.exp(v)) for v in z])
+    assert np.array_equal(expit(z), reference)
+    assert expit(z.reshape(-1, 8)).shape == (len(z) // 8, 8)
+    assert isinstance(expit(0.25), float) and expit(0.25) == 1.0 / (1.0 + np.exp(-0.25))
+    assert np.isnan(expit(np.nan))
+
+
 def test_build_scenario_rejects_bad_labels_and_sizes():
     with pytest.raises(ConfigError):
         bb.build_scenario("common", "extreme", 500, 7)
