@@ -8,6 +8,7 @@ with a reason code; a run never aborts on a solver failure.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import sys
@@ -19,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BalanceBenchError, ConfigError, EstimationError, GenerationError, NumericError
-from .estimators import ResponseSurfaces, augmented_weighted_average, weighted_average, weighted_ols
+from .estimators import EffectEstimate, ResponseSurfaces, augmented_weighted_average, weighted_average, weighted_ols
 from .kernels import Geometry
 from .learners import fit_learner
 from .scenarios import (
@@ -200,7 +201,13 @@ def _sort_key(r) -> tuple:
     )
 
 
+class _Invalid(Exception):
+    """A failure already turned into the reason code of every record that needs its result."""
+
+
 def _reason_from(exc: Exception) -> str:
+    if isinstance(exc, _Invalid):
+        return str(exc)
     names = {
         ValueError: "invalid_input",
         EstimationError: "estimation_failed",
@@ -211,146 +218,128 @@ def _reason_from(exc: Exception) -> str:
     return f"{label}: {exc}"
 
 
+def _propensity(ds, kind) -> tuple:
+    """(propensity scores at every row, diagnostics), from the truth or a fitted learner."""
+    if kind == "oracle":
+        return ds.e_true, {}
+    learner = fit_learner(kind, ds.X, ds.T, "propensity")
+    return learner.predict_all(ds.X), {"ridge_used": learner.model.ridge_used}
+
+
+def _surfaces(ds, kind) -> ResponseSurfaces:
+    """Both response surfaces at every row, from the truth or a learner fitted on each arm."""
+    if kind == "oracle":
+        return ResponseSurfaces(ds.mu_true, ds.mu_true, "oracle")
+    ctrl = ds.T == 0.0
+    m0 = fit_learner(kind, ds.X[ctrl], ds.Y[ctrl], "outcome")
+    m1 = fit_learner(kind, ds.X[~ctrl], ds.Y[~ctrl], "outcome")
+    return ResponseSurfaces(m0.predict_all(ds.X), m1.predict_all(ds.X), kind)
+
+
 def run_replication(spec: ScenarioSpec, replication: int, config: RunConfig, tlf_hyper: dict) -> list[ReplicationRecord]:
-    """All records for one replication; failures become invalid records."""
+    """All records for one replication, in canonical order.
+
+    The dataset, the geometry, each learner's propensity scores and response
+    surfaces, and each (method, learner, estimand, postproc) weight set are
+    computed by `once`, on first use. A failure there (including a solver
+    status that is not accepted) is kept as its reason code and invalidates
+    every record that needs that result; a failing estimator invalidates its
+    own record. TLF needs `tlf_hyper` for every configured estimand.
+    """
     start = time.perf_counter()
-    rng = replication_rng(spec, replication, config.master_seed)
-    cells = config.cells()
+    if "tlf" in config.methods and (missing := [e for e in config.estimands if e not in tlf_hyper]):
+        raise BalanceBenchError(f"no TLF hyperparameters for estimand {', '.join(missing)}")
+    memo: dict = {}
 
-    def record(method, learner, estimator, estimand, value=float("nan"), se=None, ci=None,
-               valid=False, reason="", diagnostics=None):
-        return ReplicationRecord(
-            spec.n, spec.rarity, spec.confounding, replication, method,
-            learner if learner is not None else "-", estimator, estimand,
-            float(value), se, ci[0] if ci else None, ci[1] if ci else None,
-            valid, reason, diagnostics or {}, 0.0,
-        )
-
-    records: list[ReplicationRecord] = []
-    try:
-        ds = generate_dataset(spec, rng)
-    except GenerationError as exc:
-        reason = _reason_from(exc)
-        for method, learner in cells:
-            for estimand in config.estimands:
-                for estimator in config.estimators:
-                    records.append(record(method, learner, estimator, estimand, reason=reason))
-        if config.crude:
-            records.append(record("crude", None, "crude", "ATE", reason=reason))
-        return records
-
-    prop_cache: dict = {}
-
-    def propensity(kind):
-        if kind not in prop_cache:
+    def once(key, compute):
+        """compute() at the first use of key, its result at each later use; a
+        failure is kept as its reason code and raised again at each use."""
+        if key not in memo:
             try:
-                if kind == "oracle":
-                    prop_cache[kind] = ("ok", ds.e_true, {})
-                else:
-                    learner = fit_learner(kind, ds.X, ds.T, "propensity")
-                    diag = {"ridge_used": learner.model.ridge_used} if learner.model else {}
-                    prop_cache[kind] = ("ok", learner.predict_all(ds.X), diag)
+                memo[key] = compute()
             except Exception as exc:  # noqa: BLE001 - failures are data here
-                prop_cache[kind] = ("error", _reason_from(exc), {})
-        return prop_cache[kind]
+                memo[key] = _Invalid(_reason_from(exc))
+        value = memo[key]
+        if isinstance(value, _Invalid):
+            raise _Invalid(*value.args)
+        return value
 
-    surf_cache: dict = {}
+    def generate():
+        return generate_dataset(spec, replication_rng(spec, replication, config.master_seed))
 
-    def surfaces(kind):
-        if kind not in surf_cache:
-            try:
-                if kind == "oracle":
-                    surf = ResponseSurfaces(ds.mu_true, ds.mu_true, "oracle")
-                else:
-                    ctrl = ds.T == 0.0
-                    trt = ~ctrl
-                    m0 = fit_learner(kind, ds.X[ctrl], ds.Y[ctrl], "outcome")
-                    m1 = fit_learner(kind, ds.X[trt], ds.Y[trt], "outcome")
-                    surf = ResponseSurfaces(m0.predict_all(ds.X), m1.predict_all(ds.X), kind)
-                surf_cache[kind] = ("ok", surf)
-            except Exception as exc:  # noqa: BLE001
-                surf_cache[kind] = ("error", _reason_from(exc))
-        return surf_cache[kind]
+    def weigh(method, learner, estimand, postproc):
+        ds = once("data", generate)
+        if method == "iptw":
+            scores, diag = once(("propensity", learner), lambda: _propensity(ds, learner))
+            bw = iptw_weights(scores, ds.T, estimand, postproc)
+            bw.diagnostics.update(diag)
+        else:
+            geometry = once("geometry", lambda: Geometry(ds.X))  # built lazily, shared by EB, KOM and TLF
+            if method == "eb":
+                bw = energy_balance(ds.X, ds.T, estimand, geometry=geometry)
+            elif method == "kom":
+                bw = kom_weights(ds.X, ds.T, ds.Y, estimand, geometry=geometry)
+            else:
+                bw = tlf_weights(ds.X, ds.T, estimand, hyper=tlf_hyper[estimand], geometry=geometry)
+        status = bw.diagnostics.get("solver_status", "closed_form")
+        if status not in _ACCEPTED_SOLVER_STATUSES:
+            raise _Invalid(f"solver_{status}")
+        return bw
 
-    geometry = Geometry(ds.X)  # built lazily, shared by EB, KOM and TLF
-    weight_cache: dict = {}
-
-    def balance(method, learner, estimand, postproc=None):
-        key = (method, learner, estimand, postproc)
-        if key not in weight_cache:
-            try:
-                if method == "iptw":
-                    status, payload, diag = propensity(learner)
-                    if status == "error":
-                        weight_cache[key] = ("error", payload)
-                        return weight_cache[key]
-                    bw = iptw_weights(payload, ds.T, estimand, postproc or config.iptw_postproc)
-                    bw.diagnostics.update(diag)
-                elif method == "eb":
-                    bw = energy_balance(ds.X, ds.T, estimand, geometry=geometry)
-                elif method == "kom":
-                    bw = kom_weights(ds.X, ds.T, ds.Y, estimand, geometry=geometry)
-                else:
-                    bw = tlf_weights(ds.X, ds.T, estimand, hyper=tlf_hyper.get(estimand), geometry=geometry)
-                solver_status = bw.diagnostics.get("solver_status", "closed_form")
-                if solver_status not in _ACCEPTED_SOLVER_STATUSES:
-                    weight_cache[key] = ("error", f"solver_{solver_status}")
-                else:
-                    weight_cache[key] = ("ok", bw)
-            except Exception as exc:  # noqa: BLE001
-                weight_cache[key] = ("error", _reason_from(exc))
-        return weight_cache[key]
-
-    dumped: list = []
-    for method, learner in cells:
-        surface_kind = learner if method == "iptw" else config.learners[0]
-        for estimand in config.estimands:
-            wstatus, wpayload = balance(method, learner, estimand)
-            if wstatus == "ok" and config.dump_weights:
-                dumped.append(wpayload)
-            for estimator in config.estimators:
-                if estimator == "AWA" and method == "iptw" and config.iptw_postproc == "trim99":
+    def record(method, learner, estimator, estimand):
+        try:
+            ds = once("data", generate)
+            if method == "crude":
+                est, diag = EffectEstimate(crude_estimate(ds), None, None, estimand, estimator, True), {}
+            else:
+                postproc = config.iptw_postproc
+                if estimator == "AWA" and method == "iptw" and postproc == "trim99":
                     # the augmented estimator keeps every observation and
                     # truncates extreme weights instead of removing them
-                    wstatus_e, wpayload_e = balance(method, learner, estimand, postproc="cap99")
-                else:
-                    wstatus_e, wpayload_e = wstatus, wpayload
-                if wstatus_e == "error":
-                    records.append(record(method, learner, estimator, estimand, reason=wpayload_e))
-                    continue
-                bw = wpayload_e
+                    postproc = "cap99"
+                key = (method, learner, estimand, postproc)
+                bw = once(key, lambda: weigh(*key))
                 diag = {"solver_status": bw.diagnostics.get("solver_status")}
-                try:
-                    if estimator == "WA":
-                        est = weighted_average(ds.Y, ds.T, bw)
-                    elif estimator == "OLS":
-                        est = weighted_ols(ds.Y, ds.T, bw)
-                    else:
-                        sstatus, spayload = surfaces(surface_kind)
-                        if sstatus == "error":
-                            records.append(record(method, learner, estimator, estimand, reason=spayload))
-                            continue
-                        diag["surface_learner"] = surface_kind
-                        est = augmented_weighted_average(ds.Y, ds.T, bw, spayload)
-                except Exception as exc:  # noqa: BLE001
-                    records.append(record(method, learner, estimator, estimand, reason=_reason_from(exc)))
-                    continue
-                reason = "" if est.valid else "out_of_range"
-                records.append(
-                    record(method, learner, estimator, estimand, est.value, est.se, est.ci95,
-                           est.valid, reason, diag)
-                )
-        if method != "iptw":
+                if estimator == "WA":
+                    est = weighted_average(ds.Y, ds.T, bw)
+                elif estimator == "OLS":
+                    est = weighted_ols(ds.Y, ds.T, bw)
+                else:
+                    kind = learner if method == "iptw" else config.learners[0]
+                    surfaces = once(("surfaces", kind), lambda: _surfaces(ds, kind))
+                    diag["surface_learner"] = kind
+                    est = augmented_weighted_average(ds.Y, ds.T, bw, surfaces)
+            reason = "" if est.valid else "out_of_range"
+        except Exception as exc:  # noqa: BLE001 - failures are data here
+            est, diag = EffectEstimate(float("nan"), None, None, estimand, estimator, False), {}
+            reason = _reason_from(exc)
+        return ReplicationRecord(
+            spec.n, spec.rarity, spec.confounding, replication, method, learner or "-", estimator,
+            estimand, est.value, est.se, *(est.ci95 or (None, None)), est.valid, reason, diag,
+        )
+
+    records = []
+    for method, learner in config.cells():
+        for estimand in config.estimands:
+            for estimator in config.estimators:
+                records.append(record(method, learner, estimator, estimand))
+        if method != "iptw" and "geometry" in memo:
             # this method's arrays are no longer read; KOM takes its bandwidth from EB's distances
-            geometry.release(keep_distances=method == "eb" and "kom" in config.methods)
-
+            memo["geometry"].release(keep_distances=method == "eb" and "kom" in config.methods)
     if config.crude:
-        records.append(record("crude", None, "crude", "ATE", crude_estimate(ds), valid=True))
+        records.append(record("crude", None, "crude", "ATE"))
 
-    if config.dump_weights and config.output_path and dumped:
-        wdir = os.path.join(config.output_path, "weights")
-        os.makedirs(wdir, exist_ok=True)
-        weights_to_csv(dumped, os.path.join(wdir, f"{spec.n}_{spec.rarity}_{spec.confounding}_rep{replication:06d}.csv"))
+    if config.dump_weights and config.output_path:
+        dumped = []
+        for method, learner in config.cells():
+            for estimand in config.estimands:
+                key = (method, learner, estimand, config.iptw_postproc)
+                with contextlib.suppress(_Invalid):
+                    dumped.append(once(key, lambda: weigh(*key)))
+        if dumped:
+            wdir = os.path.join(config.output_path, "weights")
+            os.makedirs(wdir, exist_ok=True)
+            weights_to_csv(dumped, os.path.join(wdir, f"{spec.n}_{spec.rarity}_{spec.confounding}_rep{replication:06d}.csv"))
 
     elapsed = time.perf_counter() - start
     for r in records:
@@ -415,9 +404,7 @@ def _run_scenarios(config: RunConfig, scenarios, progress=None) -> list[Replicat
 
 
 def run_scenario(config: RunConfig, scenario) -> list[ReplicationRecord]:
-    """All replication records for one scenario, in deterministic order."""
-    if isinstance(scenario, ScenarioSpec):
-        scenario = (scenario.n, scenario.rarity, scenario.confounding)
+    """All replication records for one (n, rarity, confounding) scenario, in deterministic order."""
     return _run_scenarios(config, [scenario])
 
 

@@ -22,6 +22,8 @@ LEARNER_KINDS = ("oracle", "logistic_well", "logistic_mis")
 PROB_CLAMP = 1e-12
 _RIDGE_START = 1e-4
 _RIDGE_MAX = 1e6
+_IRLS_MAX_ITER = 100  # Newton steps per attempt
+_IRLS_TOL = 1e-9  # converged when max|gradient| < _IRLS_TOL * max(1, sqrt(rows))
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,7 @@ def _log_likelihood(eta: np.ndarray, y: np.ndarray, e: np.ndarray) -> float:
     return float(np.sum(y * eta - (np.maximum(eta, 0.0) + np.log1p(e))))
 
 
-def _irls(Z: np.ndarray, y: np.ndarray, ridge: float, max_iter: int, gtol: float):
+def _irls(Z: np.ndarray, y: np.ndarray, ridge: float, gtol: float):
     n, p = Z.shape
     pen = np.full(p, ridge)
     pen[0] = 0.0  # intercept unpenalized
@@ -78,7 +80,7 @@ def _irls(Z: np.ndarray, y: np.ndarray, ridge: float, max_iter: int, gtol: float
     eta = Z @ beta
     e = np.exp(-np.abs(eta))  # one exp per iterate: the likelihood and mu share it
     obj = _log_likelihood(eta, y, e) - 0.5 * float(pen @ beta**2)
-    for _ in range(max_iter):
+    for _ in range(_IRLS_MAX_ITER):
         mu = _expit_from(eta, e)
         grad = Z.T @ (y - mu) - pen * beta
         if np.max(np.abs(grad)) < gtol:
@@ -112,8 +114,6 @@ def _irls(Z: np.ndarray, y: np.ndarray, ridge: float, max_iter: int, gtol: float
 def fit_logistic(
     design: np.ndarray,
     labels: np.ndarray,
-    max_iter: int = 100,
-    tol: float = 1e-9,
     feature_spec: FeatureSpec | None = None,
 ) -> LogisticModel:
     """Maximize the Bernoulli log-likelihood by IRLS with step halving.
@@ -134,10 +134,10 @@ def fit_logistic(
         raise NumericError("design matrix contains non-finite values")
 
     Z = np.column_stack([np.ones(y.shape[0]), design])
-    gtol = tol * max(1.0, np.sqrt(y.shape[0]))
+    gtol = _IRLS_TOL * max(1.0, np.sqrt(y.shape[0]))
     ridge = 0.0
     while True:
-        beta, converged = _irls(Z, y, ridge, max_iter, gtol)
+        beta, converged = _irls(Z, y, ridge, gtol)
         # log-odds beyond +-30 mean numerically degenerate probabilities: separation
         if converged and np.max(np.abs(beta)) < 30.0:
             return LogisticModel(beta, feature_spec, True, ridge)

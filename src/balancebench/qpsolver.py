@@ -35,6 +35,7 @@ _FREE_EPS = 1e-12
 _NEGATIVE = -1e-11  # a KKT coordinate below this leaves the face
 _RELEASE = -1e-10  # a zeroed coordinate with reduced gradient below this joins it
 _STALL_ROUNDS = 10  # block rounds without a new low in coordinates moved before single pivots
+KKT_TOL = 1e-8  # largest fixed-point (KKT) residual a solution is certified at
 
 
 @dataclass(frozen=True)
@@ -332,12 +333,12 @@ def _pivot(Q, qp, spectrum):
     return None, cap
 
 
-def solve_qp(qp: QuadraticProgram, tol: float = 1e-8) -> QPSolution:
-    """Solve the QP; status 'optimal' certifies a fixed-point (KKT) residual <= tol.
+def solve_qp(qp: QuadraticProgram) -> QPSolution:
+    """Solve the QP; status 'optimal' certifies a fixed-point (KKT) residual <= KKT_TOL.
 
     Pivoting (see _pivot) ends on a point that is certified when its face is
     strictly convex and its residual, computed with the dense Q, is within
-    tol. When qp.spectrum's smallest eigenvalue exceeds n * eps * max|mu|
+    KKT_TOL. When qp.spectrum's smallest eigenvalue exceeds n * eps * max|mu|
     (eigh's backward error) and the spectrum reproduces Q @ 1 (see
     _certified_spectrum), Q is positive definite, which certifies every
     face without a factorization, and the face KKT systems are solved from
@@ -345,7 +346,7 @@ def solve_qp(qp: QuadraticProgram, tol: float = 1e-8) -> QPSolution:
     face needs a Cholesky factor of its reduced Hessian.
 
     A point that is not certified (a singular face, a final face that is not
-    strictly convex, the rounds run out, or the residual is above tol) gets
+    strictly convex, the rounds run out, or the residual is above KKT_TOL) gets
     one retry: dense pivoting on Q + shift * I, with shift = max(0, 1e-12 - lam)
     and lam the smallest eigenvalue of Q's reduced Hessian on the null space of
     the equality rows (see _reduced_min_eigenvalue), so a Q that is positive
@@ -365,15 +366,15 @@ def solve_qp(qp: QuadraticProgram, tol: float = 1e-8) -> QPSolution:
     w, iterations = _pivot(Q, qp, _certified_spectrum(qp))
     residual = float("inf") if w is None else _natural_residual(w, Q @ w + qp.c, qp)
     shift = 0.0
-    if residual > tol:
+    if residual > KKT_TOL:
         shift = max(0.0, 1e-12 - _reduced_min_eigenvalue(Q, qp))
         shifted = Q + shift * np.eye(qp.n)
         w, solves = _pivot(shifted, qp, None)
         iterations += solves
         residual = float("inf") if w is None else _natural_residual(w, shifted @ w + qp.c, qp)
-        if residual > tol:
+        if residual > KKT_TOL:
             w = _uniform_point(qp)
             residual = _natural_residual(w, shifted @ w + qp.c, qp)
-    status = STATUS_OPTIMAL if residual <= tol else STATUS_MAX_ITER
+    status = STATUS_OPTIMAL if residual <= KKT_TOL else STATUS_MAX_ITER
     objective = float(0.5 * w @ (Q @ w) + qp.c @ w)
     return QPSolution(w, objective, residual, iterations, status, shift)

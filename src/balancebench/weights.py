@@ -27,6 +27,8 @@ POSTPROCS = ("trim99", "cap99", "hajek", "none")
 KOM_RIDGE_GRID = (1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1000.0)
 TLF_LAMBDA_GRID = (1e-4, 1e-3, 1e-2, 1e-1)
 TLF_GAMMA_GRID = (0.1, 0.5, 1.0, 2.0)
+TLF_MAX_ITER = 50  # Newton steps per fit
+TLF_GTOL = 1e-6  # a fit is certified when max|gradient| falls below this
 
 
 @dataclass
@@ -410,8 +412,6 @@ def tlf_fit(
     estimand: str,
     lam: float,
     gamma: float,
-    max_iter: int = 50,
-    gtol: float = 1e-6,
     geometry: Geometry | None = None,
 ) -> TlfModel:
     """Maximize the penalized tailored scoring rule by damped Newton, starting
@@ -425,7 +425,7 @@ def tlf_fit(
     _validate_groups(T)
     kernel = KernelSpec("laplacian", gamma)
     K = Geometry.of(X, geometry).gram(kernel)
-    return _tlf_fit_gram(K, T, estimand, lam, kernel, max_iter, gtol)
+    return _tlf_fit_gram(K, T, estimand, lam, kernel)
 
 
 def _tlf_newton_rows(K, T, estimand):
@@ -462,10 +462,11 @@ def _tlf_newton_direction(split, u, h, alpha, lam, system):
     return direction
 
 
-def _tlf_fit_gram(K, T, estimand, lam, kernel, max_iter=50, gtol=1e-6) -> TlfModel:
+def _tlf_fit_gram(K, T, estimand, lam, kernel) -> TlfModel:
     """Damped Newton on (intercept, alpha) for the concave objective; certified
-    (converged) only when max|gradient| < gtol. For ATT the Newton system is
-    solved on the treated rows only (see _tlf_newton_rows)."""
+    (converged) only when max|gradient| < TLF_GTOL within TLF_MAX_ITER steps.
+    For ATT the Newton system is solved on the treated rows only (see
+    _tlf_newton_rows)."""
     if lam <= 0:  # the objective is unbounded, and for ATT the system singular
         raise ValueError("need lam > 0")
     n = T.size
@@ -478,7 +479,7 @@ def _tlf_fit_gram(K, T, estimand, lam, kernel, max_iter=50, gtol=1e-6) -> TlfMod
     split = _tlf_newton_rows(K, T, estimand)
     system = np.empty((split[2].shape[0] + 1,) * 2)
     iterations = 0
-    while (gnorm := max(abs(g0), float(np.max(np.abs(ga))))) >= gtol and iterations < max_iter:
+    while (gnorm := max(abs(g0), float(np.max(np.abs(ga))))) >= TLF_GTOL and iterations < TLF_MAX_ITER:
         _, u, h = _tlf_terms(intercept + K @ alpha, T, estimand)
         try:
             direction = _tlf_newton_direction(split, u, h, alpha, lam, system)
@@ -497,7 +498,7 @@ def _tlf_fit_gram(K, T, estimand, lam, kernel, max_iter=50, gtol=1e-6) -> TlfMod
             break
         (intercept, alpha), value, g0, ga = cand, cand_v, cand_g0, cand_ga
         iterations += 1
-    return TlfModel(alpha, intercept, kernel, lam, K, gnorm < gtol, iterations, gnorm)
+    return TlfModel(alpha, intercept, kernel, lam, K, gnorm < TLF_GTOL, iterations, gnorm)
 
 
 def tlf_predict(model: TlfModel) -> np.ndarray:
@@ -559,23 +560,20 @@ def tlf_weights(
     X: np.ndarray,
     T: np.ndarray,
     estimand: str,
-    hyper: dict | None = None,
+    hyper: dict,
     geometry: Geometry | None = None,
 ) -> BalanceWeights:
-    """IPTW-formula weights from the tailored-loss propensity fit, normalized so
-    each group's weights sum to one. hyper=None triggers cross-validated selection.
-    `geometry`, if given, supplies the Laplacian Gram matrix of X."""
+    """IPTW-formula weights from the tailored-loss propensity fit at
+    hyper = {"lambda": ..., "gamma": ...} (see select_tlf_hyper), normalized so
+    each group's weights sum to one. `geometry`, if given, supplies the
+    Laplacian Gram matrix of X."""
     _check_estimand(estimand)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     T = np.asarray(T, dtype=float)
     treated, control = _validate_groups(T)
     if _rows_all_identical(X):
         return _uniform_weights(T, estimand, "tlf")
-    if hyper is None:
-        lam, gamma = select_tlf_hyper(X, T, (estimand,))[estimand]
-    else:
-        lam, gamma = float(hyper["lambda"]), float(hyper["gamma"])
-
+    lam, gamma = float(hyper["lambda"]), float(hyper["gamma"])
     model = tlf_fit(X, T, estimand, lam, gamma, geometry=geometry)
     p = tlf_predict(model)
     n = T.size

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import balancebench as bb
-from balancebench import harness, kernels, weights
-from balancebench.errors import BalanceBenchError, ConfigError
+from balancebench import harness, kernels, learners, weights
+from balancebench.errors import BalanceBenchError, ConfigError, GenerationError, NumericError
 from balancebench.harness import (
     MetricsSummary,
     ReplicationRecord,
@@ -302,6 +302,46 @@ def test_uncertified_tlf_fit_becomes_invalid_record(monkeypatch):
     assert all(not r.valid and r.reason == "solver_max_iter" for r in records)
 
 
+def test_generation_failure_invalidates_every_record(monkeypatch):
+    def fail(*args, **kwargs):
+        raise GenerationError("no usable sample")
+
+    monkeypatch.setattr(harness, "generate_dataset", fail)
+    monkeypatch.setattr(harness, "tlf_hyperparameters", lambda spec, config: FIXED_TLF_HYPER)
+    config = RunConfig(scenarios=((250, "common", "low"),), replications=2, master_seed=3, crude=True)
+    records = run_scenario(config, config.scenarios[0])  # raises unless the count is the expected one
+    # (3 IPTW learners + EB + KOM + TLF) x 2 estimands x 3 estimators, plus crude, per replication
+    assert len(records) == 2 * (6 * 2 * 3 + 1)
+    assert all(not r.valid and r.reason == "generation_failed: no usable sample" for r in records)
+
+
+def test_failed_learner_fit_is_tried_once_and_invalidates_only_its_records(monkeypatch):
+    real = harness.fit_learner
+    fits = []
+
+    def fit(kind, X, labels, target):
+        fits.append((kind, target))
+        if kind == "logistic_mis":
+            raise NumericError("no convergence")
+        return real(kind, X, labels, target)
+
+    monkeypatch.setattr(harness, "fit_learner", fit)
+    config = RunConfig(scenarios=((250, "common", "moderate"),), replications=1, master_seed=5, crude=True)
+    records = run_replication(bb.build_scenario("common", "moderate", 250, 5), 0, config, FIXED_TLF_HYPER)
+    assert fits.count(("logistic_mis", "propensity")) == 1
+    failed = [r for r in records if r.learner == "logistic_mis"]
+    assert len(failed) == 6 and all(r.method == "iptw" for r in failed)
+    assert all(not r.valid and r.reason == "numeric_failure: no convergence" for r in failed)
+    assert all(r.valid for r in records if r.learner != "logistic_mis")
+
+
+def test_tlf_without_hyperparameters_for_an_estimand_raises():
+    config = small_config(methods=("iptw", "tlf"), estimands=("ATE", "ATT"))
+    spec = bb.build_scenario("common", "low", 250, config.master_seed)
+    with pytest.raises(BalanceBenchError, match="ATT"):
+        run_replication(spec, 0, config, {"ATE": FIXED_TLF_HYPER["ATE"]})
+
+
 TWO_SCENARIOS = ((250, "common", "low"), (250, "rare", "low"))
 
 
@@ -458,6 +498,21 @@ def test_default_replication_builds_each_geometry_piece_once(monkeypatch):
         ("cholesky", "energy_balance"), ("cholesky", "energy_balance"),
         ("eigh", "kom_weights"), ("eigh", "kom_weights"),
     ]
+
+
+def test_default_replication_fits_and_weighs_each_piece_once(monkeypatch):
+    log = []
+    count_calls(monkeypatch, learners, "fit_logistic", log)
+    for name in ("iptw_weights", "energy_balance", "kom_weights", "tlf_weights"):
+        count_calls(monkeypatch, harness, name, log)
+    config = RunConfig(scenarios=((250, "common", "moderate"),), replications=1, master_seed=5)
+    run_replication(bb.build_scenario("common", "moderate", 250, 5), 0, config, FIXED_TLF_HYPER)
+    names = [name for name, _, _ in log]
+    # a propensity and two outcome fits per fitted learner; IPTW weighs each
+    # (learner, estimand) under trim99, and under cap99 for AWA
+    assert {name: names.count(name) for name in set(names)} == {
+        "fit_logistic": 6, "iptw_weights": 12, "energy_balance": 2, "kom_weights": 2, "tlf_weights": 2,
+    }
 
 
 def test_iptw_only_replication_builds_no_geometry(monkeypatch):
