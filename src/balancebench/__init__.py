@@ -21,15 +21,7 @@ from .harness import (
     summarize,
 )
 from .kernels import KernelSpec, distance_matrix, gram_matrix, median_heuristic
-from .learners import (
-    FeatureSpec,
-    Learner,
-    LogisticModel,
-    engineer_features,
-    fit_logistic,
-    make_learner,
-    predict_proba,
-)
+from .learners import LogisticModel, engineer_features, fit_logistic, predict_proba
 from .qpsolver import QPSolution, QuadraticProgram, solve_qp
 from .scenarios import (
     CovariateModel,

@@ -19,10 +19,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import learners
 from .errors import BalanceBenchError, ConfigError, EstimationError, GenerationError, NumericError
 from .estimators import EffectEstimate, ResponseSurfaces, augmented_weighted_average, weighted_average, weighted_ols
 from .kernels import Geometry
-from .learners import fit_learner
 from .scenarios import (
     CONFOUNDING_LEVELS,
     HYPER_STREAM,
@@ -219,21 +219,25 @@ def _reason_from(exc: Exception) -> str:
 
 
 def _propensity(ds, kind) -> tuple:
-    """(propensity scores at every row, diagnostics), from the truth or a fitted learner."""
+    """(propensity scores at every row, diagnostics), from the truth or a
+    learner fitted and evaluated on its one design matrix."""
     if kind == "oracle":
         return ds.e_true, {}
-    learner = fit_learner(kind, ds.X, ds.T, "propensity")
-    return learner.predict_all(ds.X), {"ridge_used": learner.model.ridge_used}
+    design = learners.engineer_features(ds.X, "propensity", kind == "logistic_well")
+    model = learners.fit_logistic(design, ds.T)
+    return learners.predict_proba(model, design), {"ridge_used": model.ridge_used}
 
 
 def _surfaces(ds, kind) -> ResponseSurfaces:
-    """Both response surfaces at every row, from the truth or a learner fitted on each arm."""
+    """Both response surfaces at every row, from the truth or a learner fitted
+    on each arm's rows of its one design matrix."""
     if kind == "oracle":
         return ResponseSurfaces(ds.mu_true, ds.mu_true, "oracle")
+    design = learners.engineer_features(ds.X, "outcome", kind == "logistic_well")
     ctrl = ds.T == 0.0
-    m0 = fit_learner(kind, ds.X[ctrl], ds.Y[ctrl], "outcome")
-    m1 = fit_learner(kind, ds.X[~ctrl], ds.Y[~ctrl], "outcome")
-    return ResponseSurfaces(m0.predict_all(ds.X), m1.predict_all(ds.X), kind)
+    m0 = learners.fit_logistic(design[ctrl], ds.Y[ctrl])
+    m1 = learners.fit_logistic(design[~ctrl], ds.Y[~ctrl])
+    return ResponseSurfaces(learners.predict_proba(m0, design), learners.predict_proba(m1, design), kind)
 
 
 def run_replication(spec: ScenarioSpec, replication: int, config: RunConfig, tlf_hyper: dict) -> list[ReplicationRecord]:

@@ -316,16 +316,16 @@ def test_generation_failure_invalidates_every_record(monkeypatch):
 
 
 def test_failed_learner_fit_is_tried_once_and_invalidates_only_its_records(monkeypatch):
-    real = harness.fit_learner
+    real = harness._propensity
     fits = []
 
-    def fit(kind, X, labels, target):
-        fits.append((kind, target))
+    def fit(ds, kind):
+        fits.append((kind, "propensity"))
         if kind == "logistic_mis":
             raise NumericError("no convergence")
-        return real(kind, X, labels, target)
+        return real(ds, kind)
 
-    monkeypatch.setattr(harness, "fit_learner", fit)
+    monkeypatch.setattr(harness, "_propensity", fit)
     config = RunConfig(scenarios=((250, "common", "moderate"),), replications=1, master_seed=5, crude=True)
     records = run_replication(bb.build_scenario("common", "moderate", 250, 5), 0, config, FIXED_TLF_HYPER)
     assert fits.count(("logistic_mis", "propensity")) == 1
@@ -513,6 +513,18 @@ def test_default_replication_fits_and_weighs_each_piece_once(monkeypatch):
     assert {name: names.count(name) for name in set(names)} == {
         "fit_logistic": 6, "iptw_weights": 12, "energy_balance": 2, "kom_weights": 2, "tlf_weights": 2,
     }
+
+
+def test_default_replication_builds_each_design_once(monkeypatch):
+    log = []
+    count_calls(monkeypatch, learners, "engineer_features", log)
+    config = RunConfig(scenarios=((250, "common", "moderate"),), replications=1, master_seed=5)
+    run_replication(bb.build_scenario("common", "moderate", 250, 5), 0, config, FIXED_TLF_HYPER)
+    # one design per (fitted learner, target); each outcome arm fits on its rows
+    assert len(log) == 4
+    assert sorted((args[1], args[2]) for _, args, _ in log) == [
+        ("outcome", False), ("outcome", True), ("propensity", False), ("propensity", True),
+    ]
 
 
 def test_iptw_only_replication_builds_no_geometry(monkeypatch):

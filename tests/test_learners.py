@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 import balancebench as bb
-from balancebench.learners import FeatureSpec, fit_learner
+from balancebench.learners import LogisticModel
 from balancebench.scenarios import expit
 
 
 def test_engineer_features_misspecified_is_identity():
     X = bb.sample_covariates(30, np.random.default_rng(0))
-    out = bb.engineer_features(X, FeatureSpec("propensity", "misspecified"))
+    out = bb.engineer_features(X, "propensity", False)
     np.testing.assert_array_equal(out, X)
     assert out.shape == (30, 10)
 
@@ -17,27 +17,23 @@ def test_engineer_features_appends_interactions():
     X = np.zeros((1, 10))
     X[0, 0] = 1.0
     X[0, 1] = 2.0
-    out = bb.engineer_features(X, FeatureSpec("propensity", "well_specified"))
+    out = bb.engineer_features(X, "propensity", True)
     assert out.shape == (1, 11)
     assert out[0, 10] == 4.0
 
     X = np.zeros((1, 10))
     X[0, 2] = 0.0
     X[0, 3] = 5.0
-    out = bb.engineer_features(X, FeatureSpec("outcome", "well_specified"))
+    out = bb.engineer_features(X, "outcome", True)
     assert out[0, 10] == 0.0
 
 
-def test_engineer_features_rejects_wrong_shape():
+def test_engineer_features_rejects_wrong_shape_and_unknown_target():
     with pytest.raises(ValueError):
-        bb.engineer_features(np.zeros((5, 9)), FeatureSpec("outcome", "misspecified"))
-
-
-def test_feature_spec_validation():
-    with pytest.raises(ValueError):
-        FeatureSpec("thing", "misspecified")
-    with pytest.raises(ValueError):
-        FeatureSpec("outcome", "sort_of")
+        bb.engineer_features(np.zeros((5, 9)), "outcome", False)
+    for well_specified in (False, True):
+        with pytest.raises(ValueError, match="unknown target"):
+            bb.engineer_features(np.zeros((5, 10)), "thing", well_specified)
 
 
 def test_fit_recovers_known_coefficients():
@@ -96,58 +92,28 @@ def test_predict_proba_matches_scalar_loop():
 
 
 def test_predict_proba_clamped_and_monotone():
-    from balancebench.learners import LogisticModel
-
-    model = LogisticModel(np.array([0.0, 5.0]), None, True, 0.0)
+    model = LogisticModel(np.array([0.0, 5.0]), True, 0.0)
     x = np.array([[-500.0], [0.0], [1.0], [500.0]])
     p = bb.predict_proba(model, x)
     assert p[0] >= 1e-12 and p[-1] <= 1 - 1e-12
     assert np.all(np.diff(p) >= 0)
-    zero = bb.predict_proba(LogisticModel(np.array([0.7, 1.0]), None, True, 0.0), np.zeros((1, 1)))
+    zero = bb.predict_proba(LogisticModel(np.array([0.7, 1.0]), True, 0.0), np.zeros((1, 1)))
     assert zero[0] == pytest.approx(expit(0.7), abs=1e-15)
 
 
 def test_predict_proba_shape_mismatch():
-    from balancebench.learners import LogisticModel
-
-    model = LogisticModel(np.array([0.0, 1.0, 1.0]), None, True, 0.0)
+    model = LogisticModel(np.array([0.0, 1.0, 1.0]), True, 0.0)
     with pytest.raises(ValueError):
         bb.predict_proba(model, np.zeros((3, 5)))
-
-
-def test_oracle_learners_are_exact():
-    spec = bb.build_scenario("rare", "high", 400, 5)
-    ds = bb.generate_dataset(spec, bb.replication_rng(spec, 0))
-    prop = bb.make_learner("oracle", scenario=spec, target="propensity")
-    resp = bb.make_learner("oracle", scenario=spec, target="outcome")
-    np.testing.assert_array_equal(prop.predict_all(ds.X), ds.e_true)
-    np.testing.assert_array_equal(resp.predict_all(ds.X), ds.mu_true)
-    assert prop.predict(ds.X[7]) == ds.e_true[7]
 
 
 def test_well_specified_beats_misspecified_in_likelihood():
     spec = bb.build_scenario("common", "moderate", 2000, 13)
     ds = bb.generate_dataset(spec, bb.replication_rng(spec, 0))
-    well = fit_learner("logistic_well", ds.X, ds.T, "propensity")
-    mis = fit_learner("logistic_mis", ds.X, ds.T, "propensity")
 
-    def mean_ll(pred):
+    def mean_ll(well_specified):
+        design = bb.engineer_features(ds.X, "propensity", well_specified)
+        pred = bb.predict_proba(bb.fit_logistic(design, ds.T), design)
         return float(np.mean(ds.T * np.log(pred) + (1 - ds.T) * np.log1p(-pred)))
 
-    assert mean_ll(well.predict_all(ds.X)) >= mean_ll(mis.predict_all(ds.X))
-
-
-def test_describe_lists_coefficients():
-    y = np.array([1.0] * 5 + [0.0] * 5)
-    model = bb.fit_logistic(np.arange(10, dtype=float).reshape(-1, 1) / 10, y)
-    text = model.describe()
-    assert "intercept" in text and "ridge_used" in text
-
-
-def test_make_learner_argument_errors():
-    with pytest.raises(ValueError):
-        bb.make_learner("oracle")
-    with pytest.raises(ValueError):
-        bb.make_learner("logistic_well")
-    with pytest.raises(ValueError):
-        bb.make_learner("forest")
+    assert mean_ll(True) >= mean_ll(False)
