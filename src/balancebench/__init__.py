@@ -24,7 +24,6 @@ from .kernels import KernelSpec, distance_matrix, gram_matrix, median_heuristic
 from .learners import LogisticModel, engineer_features, fit_logistic, predict_proba
 from .qpsolver import QPSolution, QuadraticProgram, solve_qp
 from .scenarios import (
-    CovariateModel,
     ScenarioSpec,
     SimulatedDataset,
     build_scenario,

@@ -8,7 +8,7 @@ true ATE and ATT are both zero), and the latent truths needed by oracle learners
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,60 +117,36 @@ def grid_scenarios(seed: int = 0) -> list[ScenarioSpec]:
     ]
 
 
-def _default_covariance() -> np.ndarray:
+def _latent_covariance() -> np.ndarray:
     cov = np.eye(10)
     for i, j, rho in ((0, 4, 0.2), (2, 7, 0.2), (1, 5, 0.9), (3, 8, 0.9)):
         cov[i, j] = cov[j, i] = rho
     return cov
 
 
-@dataclass(frozen=True)
-class CovariateModel:
-    """Latent Gaussian covariance, dichotomization pattern, and coefficient vectors."""
-
-    covariance: np.ndarray = field(default_factory=_default_covariance)
-    continuous: tuple[int, ...] = CONTINUOUS_COLS
-    a: np.ndarray = field(default_factory=lambda: OUTCOME_COEF.copy())
-    b: np.ndarray = field(default_factory=lambda: TREATMENT_COEF.copy())
-
-    def cholesky(self) -> np.ndarray:
-        cached = getattr(self, "_chol", None)
-        if cached is None:
-            try:
-                cached = np.linalg.cholesky(self.covariance)
-            except np.linalg.LinAlgError as exc:
-                raise ValueError("covariance matrix is not positive definite") from exc
-            object.__setattr__(self, "_chol", cached)
-        return cached
+# Covariance of the latent Gaussian rows, and its Cholesky factor.
+LATENT_COVARIANCE = _latent_covariance()
+_LATENT_CHOLESKY = np.linalg.cholesky(LATENT_COVARIANCE)
 
 
-_DEFAULT_MODEL = CovariateModel()
-
-
-def default_covariate_model() -> CovariateModel:
-    return _DEFAULT_MODEL
-
-
-def sample_latent(n: int, rng: np.random.Generator, model: CovariateModel | None = None) -> np.ndarray:
+def sample_latent(n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw the latent multivariate-Gaussian rows (before dichotomization)."""
     if n < 1:
         raise ValueError("need at least one row")
-    model = model or _DEFAULT_MODEL
-    z = rng.standard_normal((n, model.covariance.shape[0]))
-    return z @ model.cholesky().T
+    z = rng.standard_normal((n, LATENT_COVARIANCE.shape[0]))
+    return z @ _LATENT_CHOLESKY.T
 
 
-def dichotomize(latent: np.ndarray, model: CovariateModel | None = None) -> np.ndarray:
+def dichotomize(latent: np.ndarray) -> np.ndarray:
     """Threshold every non-continuous column at zero."""
-    model = model or _DEFAULT_MODEL
     x = np.asarray(latent, dtype=float).copy()
-    binary = [j for j in range(x.shape[1]) if j not in model.continuous]
+    binary = [j for j in range(x.shape[1]) if j not in CONTINUOUS_COLS]
     x[:, binary] = (x[:, binary] > 0.0).astype(float)
     return x
 
 
-def sample_covariates(n: int, rng: np.random.Generator, model: CovariateModel | None = None) -> np.ndarray:
-    return dichotomize(sample_latent(n, rng, model), model)
+def sample_covariates(n: int, rng: np.random.Generator) -> np.ndarray:
+    return dichotomize(sample_latent(n, rng))
 
 
 def _clip_prob(p):
@@ -178,19 +154,17 @@ def _clip_prob(p):
     return np.clip(p, 1e-300, 1.0 - 1e-16)
 
 
-def propensity_scores(spec: ScenarioSpec, X: np.ndarray, model: CovariateModel | None = None) -> np.ndarray:
+def propensity_scores(spec: ScenarioSpec, X: np.ndarray) -> np.ndarray:
     """True treatment probabilities for every row of X."""
-    model = model or _DEFAULT_MODEL
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    score = spec.b0 + TREATMENT_GAIN * (X @ model.b + 0.5 * X[:, 0] * X[:, 1] ** 2)
+    score = spec.b0 + TREATMENT_GAIN * (X @ TREATMENT_COEF + 0.5 * X[:, 0] * X[:, 1] ** 2)
     return _clip_prob(expit(score))
 
 
-def response_scores(spec: ScenarioSpec, X: np.ndarray, model: CovariateModel | None = None) -> np.ndarray:
+def response_scores(spec: ScenarioSpec, X: np.ndarray) -> np.ndarray:
     """True event probabilities (shared by both potential outcomes)."""
-    model = model or _DEFAULT_MODEL
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    score = spec.outcome_intercept + spec.g * (X @ model.a + 0.5 * X[:, 2] * X[:, 3] ** 2)
+    score = spec.outcome_intercept + spec.g * (X @ OUTCOME_COEF + 0.5 * X[:, 2] * X[:, 3] ** 2)
     return _clip_prob(expit(score))
 
 
@@ -235,22 +209,17 @@ class SimulatedDataset:
         return self.n - self.n1
 
 
-def generate_dataset(
-    spec: ScenarioSpec,
-    rng: np.random.Generator,
-    model: CovariateModel | None = None,
-) -> SimulatedDataset:
+def generate_dataset(spec: ScenarioSpec, rng: np.random.Generator) -> SimulatedDataset:
     """Generate a dataset per the scenario's mechanism.
 
     A draw with an empty treatment arm is rejected and the whole dataset is
     redrawn; more than MAX_REDRAWS consecutive rejections raise GenerationError.
     """
-    model = model or _DEFAULT_MODEL
     redraws = 0
     while True:
-        X = sample_covariates(spec.n, rng, model)
-        e_true = propensity_scores(spec, X, model)
-        mu_true = response_scores(spec, X, model)
+        X = sample_covariates(spec.n, rng)
+        e_true = propensity_scores(spec, X)
+        mu_true = response_scores(spec, X)
         y0 = (rng.random(spec.n) < mu_true).astype(float)
         y1 = (rng.random(spec.n) < mu_true).astype(float)
         t = (rng.random(spec.n) < e_true).astype(float)

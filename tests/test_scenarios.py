@@ -4,7 +4,7 @@ import pytest
 import balancebench as bb
 from balancebench.errors import ConfigError, GenerationError
 from balancebench.scenarios import (
-    CovariateModel,
+    LATENT_COVARIANCE,
     ScenarioSpec,
     dichotomize,
     expit,
@@ -56,10 +56,9 @@ def test_latent_correlations():
     assert corr[3, 8] == pytest.approx(0.9, abs=0.01)
     assert corr[0, 4] == pytest.approx(0.2, abs=0.01)
     assert corr[2, 7] == pytest.approx(0.2, abs=0.01)
-    # empirical covariance matches the model matrix entrywise
-    model = CovariateModel()
+    # empirical covariance matches the latent covariance entrywise
     emp = np.cov(latent.T)
-    assert np.max(np.abs(emp - model.covariance)) < 0.01
+    assert np.max(np.abs(emp - LATENT_COVARIANCE)) < 0.01
 
 
 def test_binary_columns_are_balanced():
@@ -202,14 +201,6 @@ def test_dataset_csv_roundtrip(tmp_path):
     np.testing.assert_allclose(first[:10], ds.X[0])
     assert first[10] == ds.T[0]
     assert first[14] == pytest.approx(ds.e_true[0], rel=1e-15)
-
-
-def test_rejected_covariance_not_positive_definite():
-    bad = np.eye(10)
-    bad[0, 1] = bad[1, 0] = 1.5
-    model = CovariateModel(covariance=bad)
-    with pytest.raises(ValueError):
-        sample_latent(10, np.random.default_rng(0), model)
 
 
 def test_dichotomize_respects_continuous_columns():
