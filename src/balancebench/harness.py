@@ -424,11 +424,18 @@ def run(config: RunConfig, progress=None) -> list[ReplicationRecord]:
 # Aggregation
 # ---------------------------------------------------------------------------
 
-def summarize(records, truth: float = 0.0, bound=(-1.0, 1.0)) -> list[MetricsSummary]:
+# The generator's true ATE and ATT, and the range of a usable estimate of a
+# difference of probabilities.
+TRUE_EFFECT = 0.0
+ESTIMATE_RANGE = (-1.0, 1.0)
+
+
+def summarize(records) -> list[MetricsSummary]:
     """One MetricsSummary per (scenario, estimator, method, learner, estimand) cell.
 
-    Estimates outside `bound` (and failed records) are excluded from every
-    moment; valid_pct reports the fraction retained.
+    Estimates outside ESTIMATE_RANGE (and failed records) are excluded from
+    every moment; valid_pct reports the fraction retained. Errors are taken
+    from TRUE_EFFECT.
     """
     groups: dict = {}
     for r in records:
@@ -436,18 +443,18 @@ def summarize(records, truth: float = 0.0, bound=(-1.0, 1.0)) -> list[MetricsSum
     summaries = []
     for key in groups:
         rs = groups[key]
-        vals = np.array([r.value for r in rs if _in_bound(r, bound)])
+        vals = np.array([r.value for r in rs if _in_range(r)])
         m = vals.size
         if m == 0:
             summaries.append(MetricsSummary(*key, len(rs), 0.0, None, None, None, None, None, None))
             continue
-        err = vals - truth
+        err = vals - TRUE_EFFECT
         bias = float(err.mean())
         mae = float(np.abs(err).mean())
         rmse_truth = float(np.sqrt((err**2).mean()))
         var = float(vals.var(ddof=1)) if m >= 2 else None
         spread = float(np.sqrt(var)) if var is not None else None
-        coverage = _coverage(rs, truth, bound)
+        coverage = _coverage(rs)
         summaries.append(
             MetricsSummary(*key, len(rs), m / len(rs), bias, mae, spread, var, rmse_truth, coverage)
         )
@@ -455,21 +462,21 @@ def summarize(records, truth: float = 0.0, bound=(-1.0, 1.0)) -> list[MetricsSum
     return summaries
 
 
-def _in_bound(record, bound) -> bool:
-    return bool(np.isfinite(record.value) and bound[0] <= record.value <= bound[1])
+def _in_range(record) -> bool:
+    return bool(np.isfinite(record.value) and ESTIMATE_RANGE[0] <= record.value <= ESTIMATE_RANGE[1])
 
 
-def _coverage(records, truth, bound) -> float | None:
-    """Fraction of CI-carrying records with an in-bound estimate whose interval
-    contains the truth; None when there are none."""
-    covered = [r.ci_lo <= truth <= r.ci_hi for r in records if r.ci_lo is not None and _in_bound(r, bound)]
+def _coverage(records) -> float | None:
+    """Fraction of CI-carrying records with an in-range estimate whose interval
+    contains TRUE_EFFECT; None when there are none."""
+    covered = [r.ci_lo <= TRUE_EFFECT <= r.ci_hi for r in records if r.ci_lo is not None and _in_range(r)]
     return float(np.mean(covered)) if covered else None
 
 
-def coverage_rate(records, truth: float = 0.0) -> float:
+def coverage_rate(records) -> float:
     """Coverage as `summarize` computes it, over all of `records`; NaN when no
     record qualifies."""
-    coverage = _coverage(records, truth, (-1.0, 1.0))
+    coverage = _coverage(records)
     return float("nan") if coverage is None else coverage
 
 

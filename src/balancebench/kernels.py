@@ -28,25 +28,24 @@ class KernelSpec:
             raise ValueError("kernel scale must be positive")
 
 
-def squared_distances(X: np.ndarray, Z: np.ndarray | None = None) -> np.ndarray:
+def squared_distances(X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    Z = X if Z is None else np.atleast_2d(np.asarray(Z, dtype=float))
-    xx = np.sum(X**2, axis=1)[:, None]
-    zz = np.sum(Z**2, axis=1)[None, :]
-    d2 = xx + zz - 2.0 * (X @ Z.T)
+    xx = np.sum(X**2, axis=1)
+    d2 = xx[:, None] + xx[None, :] - 2.0 * (X @ X.T)
     return np.maximum(d2, 0.0)
 
 
-def distance_matrix(X: np.ndarray, Z: np.ndarray | None = None) -> np.ndarray:
-    """Pairwise Euclidean distances; exact zero diagonal for the symmetric case."""
-    d = np.sqrt(squared_distances(X, Z))
-    if Z is None:
-        np.fill_diagonal(d, 0.0)
-        d = 0.5 * (d + d.T)
-    return d
+def distance_matrix(X: np.ndarray) -> np.ndarray:
+    """Pairwise Euclidean distances, symmetric with an exact zero diagonal."""
+    d = np.sqrt(squared_distances(X))
+    np.fill_diagonal(d, 0.0)
+    return 0.5 * (d + d.T)
 
 
-def _l1_distances(X: np.ndarray, Z: np.ndarray, block: int = 32) -> np.ndarray:
+_L1_BLOCK = 32  # rows per block of _l1_distances
+
+
+def _l1_distances(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """Pairwise L1 distances, equal bit for bit to
     np.abs(X[:, None, :] - Z[None, :, :]).sum(axis=2) without its 3-D
     temporary: each block of rows adds one covariate column at a time, in
@@ -54,8 +53,8 @@ def _l1_distances(X: np.ndarray, Z: np.ndarray, block: int = 32) -> np.ndarray:
     the block; small blocks keep the 8 accumulators in cache and out of
     freshly mapped pages."""
     out = np.empty((X.shape[0], Z.shape[0]))
-    for start in range(0, X.shape[0], block):
-        stop = min(start + block, X.shape[0])
+    for start in range(0, X.shape[0], _L1_BLOCK):
+        stop = min(start + _L1_BLOCK, X.shape[0])
         out[start:stop] = _pairwise_column_sum(X[start:stop], Z, 0, X.shape[1])
     return out
 
@@ -93,20 +92,17 @@ def _pairwise_column_sum(X, Z, lo, hi):
     return total
 
 
-def gram_matrix(kernel: KernelSpec, X: np.ndarray, Z: np.ndarray | None = None) -> np.ndarray:
-    """Elementwise kernel evaluations; symmetric with unit diagonal when Z is None."""
+def gram_matrix(kernel: KernelSpec, X: np.ndarray) -> np.ndarray:
+    """Kernel evaluations between the rows of X, symmetric with unit diagonal."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[0] == 0:
         raise ValueError("cannot build a Gram matrix from an empty sample")
-    symmetric = Z is None
     if kernel.family == "gaussian":
-        K = np.exp(-squared_distances(X, Z) / (2.0 * kernel.scale**2))
+        K = np.exp(-squared_distances(X) / (2.0 * kernel.scale**2))
     else:
-        Zm = X if Z is None else np.atleast_2d(np.asarray(Z, dtype=float))
-        K = np.exp(-kernel.scale * _l1_distances(X, Zm))
-    if symmetric:
-        K = 0.5 * (K + K.T)
-        np.fill_diagonal(K, 1.0)
+        K = np.exp(-kernel.scale * _l1_distances(X, X))
+    K = 0.5 * (K + K.T)
+    np.fill_diagonal(K, 1.0)
     return K
 
 

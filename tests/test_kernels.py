@@ -52,15 +52,6 @@ def test_gram_matches_scalar_double_loop():
             assert laplacian[i, j] == pytest.approx(np.exp(-1.3 * d1), abs=1e-14)
 
 
-def test_cross_gram_shape_and_values():
-    rng = np.random.default_rng(4)
-    X, Z = rng.standard_normal((5, 3)), rng.standard_normal((4, 3))
-    K = gram_matrix(KernelSpec("gaussian", 1.1), X, Z)
-    assert K.shape == (5, 4)
-    d2 = ((X[2] - Z[3]) ** 2).sum()
-    assert K[2, 3] == pytest.approx(np.exp(-d2 / (2 * 1.1**2)), abs=1e-14)
-
-
 @pytest.mark.parametrize("d", range(1, 21))
 def test_l1_distances_equal_broadcast_sum_bit_for_bit(d):
     # 300 rows span ten 32-row blocks, the last one partial; Z is rectangular
