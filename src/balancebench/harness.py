@@ -230,14 +230,21 @@ def _propensity(ds, kind) -> tuple:
 
 def _surfaces(ds, kind) -> ResponseSurfaces:
     """Both response surfaces at every row, from the truth or a learner fitted
-    on each arm's rows of its one design matrix."""
+    on each arm's rows of its one design matrix. An arm whose outcomes are all
+    one class has no logistic MLE; its surface is that class, clamped as
+    predict_proba clamps."""
     if kind == "oracle":
         return ResponseSurfaces(ds.mu_true, ds.mu_true, "oracle")
     design = learners.engineer_features(ds.X, "outcome", kind == "logistic_well")
+
+    def surface(arm):
+        y = ds.Y[arm]
+        if y.min() == y.max():
+            return np.full(ds.n, np.clip(y[0], learners.PROB_CLAMP, 1.0 - learners.PROB_CLAMP))
+        return learners.predict_proba(learners.fit_logistic(design[arm], y), design)
+
     ctrl = ds.T == 0.0
-    m0 = learners.fit_logistic(design[ctrl], ds.Y[ctrl])
-    m1 = learners.fit_logistic(design[~ctrl], ds.Y[~ctrl])
-    return ResponseSurfaces(learners.predict_proba(m0, design), learners.predict_proba(m1, design), kind)
+    return ResponseSurfaces(surface(ctrl), surface(~ctrl), kind)
 
 
 def run_replication(spec: ScenarioSpec, replication: int, config: RunConfig, tlf_hyper: dict) -> list[ReplicationRecord]:

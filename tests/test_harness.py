@@ -527,6 +527,26 @@ def test_default_replication_builds_each_design_once(monkeypatch):
     ]
 
 
+def test_one_class_outcome_arm_gets_its_constant_surface(monkeypatch):
+    # replication 36 of n=250 very_rare/low under master seed 300000 has 10
+    # treated rows, none with an event
+    spec = bb.build_scenario("very_rare", "low", 250, 300000)
+    ds = bb.generate_dataset(spec, bb.replication_rng(spec, 36))
+    assert ds.Y[ds.T == 1.0].max() == 0.0 and ds.Y[ds.T == 0.0].max() == 1.0
+    surfaces = harness._surfaces(ds, "logistic_well")
+    assert np.all(surfaces.mu1 == learners.PROB_CLAMP)
+    assert np.all((surfaces.mu0 > learners.PROB_CLAMP) & (surfaces.mu0 < 1.0 - learners.PROB_CLAMP))
+
+    log = []
+    count_calls(monkeypatch, learners, "fit_logistic", log)
+    config = small_config(scenarios=((250, "very_rare", "low"),), learners=harness.CANONICAL_LEARNERS,
+                          estimators=("AWA",), estimands=("ATE", "ATT"), master_seed=300000)
+    records = run_replication(spec, 36, config, {})
+    # a propensity and a control-arm outcome fit per fitted learner; none for the treated arm
+    assert len(log) == 4
+    assert len(records) == 6 and all(r.valid and r.reason == "" for r in records)
+
+
 def test_iptw_only_replication_builds_no_geometry(monkeypatch):
     log = geometry_calls(monkeypatch)
     config = small_config(learners=("oracle", "logistic_well"), estimands=("ATE", "ATT"))
