@@ -28,7 +28,7 @@ def test_engineer_features_appends_interactions():
     assert out[0, 10] == 0.0
 
 
-def test_engineer_features_rejects_wrong_shape_and_unknown_target():
+def test_engineer_features_rejects_wrong_shape():
     with pytest.raises(ValueError):
         bb.engineer_features(np.zeros((5, 9)), "outcome", False)
     for well_specified in (False, True):
