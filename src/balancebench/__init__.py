@@ -20,7 +20,7 @@ from .harness import (
     run_scenario,
     summarize,
 )
-from .kernels import KernelSpec, distance_matrix, gram_matrix, median_heuristic
+from .kernels import Geometry, KernelSpec, distance_matrix, gram_matrix, median_heuristic
 from .learners import LogisticModel, engineer_features, fit_logistic, predict_proba
 from .qpsolver import QPSolution, QuadraticProgram, solve_qp
 from .scenarios import (

@@ -14,8 +14,6 @@ import numpy as np
 from .errors import EstimationError
 from .weights import BalanceWeights
 
-ESTIMATOR_NAMES = ("WA", "AWA", "OLS")
-
 _Z95 = 1.959963984540054  # standard-normal 97.5% quantile
 
 
@@ -25,7 +23,6 @@ class ResponseSurfaces:
 
     mu0: np.ndarray
     mu1: np.ndarray
-    source: str = ""
 
 
 @dataclass
@@ -33,19 +30,17 @@ class EffectEstimate:
     value: float
     se: float | None
     ci95: tuple[float, float] | None
-    estimand: str
-    estimator: str
     valid: bool
 
 
-def _finish(value: float, estimand: str, estimator: str, se: float | None = None) -> EffectEstimate:
+def _finish(value: float, se: float | None = None) -> EffectEstimate:
     value = float(value)
     ci = None
     if se is not None:
         se = float(se)
         ci = (value - _Z95 * se, value + _Z95 * se)
     valid = bool(np.isfinite(value) and abs(value) <= 1.0)
-    return EffectEstimate(value, se, ci, estimand, estimator, valid)
+    return EffectEstimate(value, se, ci, valid)
 
 
 def _kept_arrays(Y, T, weights: BalanceWeights):
@@ -67,7 +62,7 @@ def weighted_average(Y, T, weights: BalanceWeights) -> EffectEstimate:
     else:
         n1 = tk.sum()
         value = float((tk * yk).sum() / n1 - ((1.0 - tk) * wk * yk).sum())
-    return _finish(value, weights.estimand, "WA")
+    return _finish(value)
 
 
 def augmented_weighted_average(Y, T, weights: BalanceWeights, surfaces: ResponseSurfaces) -> EffectEstimate:
@@ -87,7 +82,7 @@ def augmented_weighted_average(Y, T, weights: BalanceWeights, surfaces: Response
         value = float(
             (tk * (yk - mu0k)).sum() / n1 - ((1.0 - tk) * wk * (yk - mu0k)).sum()
         )
-    return _finish(value, weights.estimand, "AWA")
+    return _finish(value)
 
 
 def sandwich_variance(Y, T, W) -> tuple[float, tuple[float, float]]:
@@ -123,4 +118,4 @@ def weighted_ols(Y, T, weights: BalanceWeights) -> EffectEstimate:
         raise EstimationError("degenerate treatment spread under these weights")
     beta = float((wk * (tk - tbar) * (yk - ybar)).sum() / denom)
     se, _ = sandwich_variance(yk, tk, wk)
-    return _finish(beta, weights.estimand, "OLS", se=se)
+    return _finish(beta, se)

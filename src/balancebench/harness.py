@@ -234,7 +234,7 @@ def _surfaces(ds, kind) -> ResponseSurfaces:
     one class has no logistic MLE; its surface is that class, clamped as
     predict_proba clamps."""
     if kind == "oracle":
-        return ResponseSurfaces(ds.mu_true, ds.mu_true, "oracle")
+        return ResponseSurfaces(ds.mu_true, ds.mu_true)
     design = learners.engineer_features(ds.X, "outcome", kind == "logistic_well")
 
     def surface(arm):
@@ -244,7 +244,7 @@ def _surfaces(ds, kind) -> ResponseSurfaces:
         return learners.predict_proba(learners.fit_logistic(design[arm], y), design)
 
     ctrl = ds.T == 0.0
-    return ResponseSurfaces(surface(ctrl), surface(~ctrl), kind)
+    return ResponseSurfaces(surface(ctrl), surface(~ctrl))
 
 
 def run_replication(spec: ScenarioSpec, replication: int, config: RunConfig, tlf_hyper: dict) -> list[ReplicationRecord]:
@@ -276,7 +276,7 @@ def run_replication(spec: ScenarioSpec, replication: int, config: RunConfig, tlf
         return value
 
     def generate():
-        return generate_dataset(spec, replication_rng(spec, replication, config.master_seed))
+        return generate_dataset(spec, replication_rng(spec, replication))
 
     def weigh(method, learner, estimand, postproc):
         ds = once("data", generate)
@@ -287,11 +287,11 @@ def run_replication(spec: ScenarioSpec, replication: int, config: RunConfig, tlf
         else:
             geometry = once("geometry", lambda: Geometry(ds.X))  # built lazily, shared by EB, KOM and TLF
             if method == "eb":
-                bw = energy_balance(ds.X, ds.T, estimand, geometry=geometry)
+                bw = energy_balance(geometry, ds.T, estimand)
             elif method == "kom":
-                bw = kom_weights(ds.X, ds.T, ds.Y, estimand, geometry=geometry)
+                bw = kom_weights(geometry, ds.T, ds.Y, estimand)
             else:
-                bw = tlf_weights(ds.X, ds.T, estimand, hyper=tlf_hyper[estimand], geometry=geometry)
+                bw = tlf_weights(geometry, ds.T, estimand, tlf_hyper[estimand])
         status = bw.diagnostics.get("solver_status", "closed_form")
         if status not in _ACCEPTED_SOLVER_STATUSES:
             raise _Invalid(f"solver_{status}")
@@ -301,7 +301,7 @@ def run_replication(spec: ScenarioSpec, replication: int, config: RunConfig, tlf
         try:
             ds = once("data", generate)
             if method == "crude":
-                est, diag = EffectEstimate(crude_estimate(ds), None, None, estimand, estimator, True), {}
+                est, diag = EffectEstimate(crude_estimate(ds), None, None, True), {}
             else:
                 postproc = config.iptw_postproc
                 if estimator == "AWA" and method == "iptw" and postproc == "trim99":
@@ -322,7 +322,7 @@ def run_replication(spec: ScenarioSpec, replication: int, config: RunConfig, tlf
                     est = augmented_weighted_average(ds.Y, ds.T, bw, surfaces)
             reason = "" if est.valid else "out_of_range"
         except Exception as exc:  # noqa: BLE001 - failures are data here
-            est, diag = EffectEstimate(float("nan"), None, None, estimand, estimator, False), {}
+            est, diag = EffectEstimate(float("nan"), None, None, False), {}
             reason = _reason_from(exc)
         return ReplicationRecord(
             spec.n, spec.rarity, spec.confounding, replication, method, learner or "-", estimator,
@@ -362,7 +362,7 @@ def tlf_hyperparameters(spec: ScenarioSpec, config: RunConfig) -> dict:
     """Per-scenario (lambda, gamma), selected once on a reserved-stream dataset."""
     if "tlf" not in config.methods:
         return {}
-    ds = generate_dataset(spec, replication_rng(spec, HYPER_STREAM, config.master_seed))
+    ds = generate_dataset(spec, replication_rng(spec, HYPER_STREAM))
     selected = select_tlf_hyper(ds.X, ds.T, config.estimands)
     return {estimand: {"lambda": lam, "gamma": gamma} for estimand, (lam, gamma) in selected.items()}
 

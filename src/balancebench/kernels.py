@@ -130,16 +130,6 @@ class Geometry:
         self.X = np.atleast_2d(np.asarray(X, dtype=float))
         self._memo: dict = {}
 
-    @classmethod
-    def of(cls, X: np.ndarray, geometry: "Geometry | None") -> "Geometry":
-        """`geometry` after checking that it was built for X, or a new one."""
-        if geometry is None:
-            return cls(X)
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if geometry.X is not X and not np.array_equal(geometry.X, X):
-            raise ValueError("geometry was built for different covariates")
-        return geometry
-
     def memo(self, key, compute):
         """compute() on the first call with `key`, the stored result afterwards."""
         if key not in self._memo:

@@ -43,7 +43,6 @@ def engineer_features(X: np.ndarray, target: str, well_specified: bool) -> np.nd
 @dataclass
 class LogisticModel:
     coefficients: np.ndarray  # intercept first
-    converged: bool
     ridge_used: float
 
 
@@ -117,7 +116,7 @@ def fit_logistic(design: np.ndarray, labels: np.ndarray) -> LogisticModel:
         beta, converged = _irls(Z, y, ridge, gtol)
         # log-odds beyond +-30 mean numerically degenerate probabilities: separation
         if converged and np.max(np.abs(beta)) < 30.0:
-            return LogisticModel(beta, True, ridge)
+            return LogisticModel(beta, ridge)
         ridge = _RIDGE_START if ridge == 0.0 else ridge * 10.0
         if ridge > _RIDGE_MAX:
             raise NumericError("logistic fit failed to converge even with heavy ridge")

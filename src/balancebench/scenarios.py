@@ -236,11 +236,10 @@ def generate_dataset(spec: ScenarioSpec, rng: np.random.Generator) -> SimulatedD
             )
 
 
-def replication_rng(spec: ScenarioSpec, replication: int, master_seed: int | None = None) -> np.random.Generator:
-    """Per-replication RNG stream, order-independent and parallel-safe."""
-    seed = spec.seed if master_seed is None else master_seed
+def replication_rng(spec: ScenarioSpec, replication: int) -> np.random.Generator:
+    """Per-replication RNG stream from the scenario's seed, order-independent and parallel-safe."""
     key = (
-        int(seed),
+        int(spec.seed),
         int(spec.n),
         RARITY_LEVELS.index(spec.rarity),
         CONFOUNDING_LEVELS.index(spec.confounding),

@@ -27,6 +27,7 @@ POSTPROCS = ("trim99", "cap99", "hajek", "none")
 KOM_RIDGE_GRID = (1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1000.0)
 TLF_LAMBDA_GRID = (1e-4, 1e-3, 1e-2, 1e-1)
 TLF_GAMMA_GRID = (0.1, 0.5, 1.0, 2.0)
+TLF_FOLDS = 5  # cross-validation folds of select_tlf_hyper
 TLF_MAX_ITER = 50  # Newton steps per fit
 TLF_GTOL = 1e-6  # a fit is certified when max|gradient| falls below this
 
@@ -70,7 +71,10 @@ def _check_estimand(estimand: str) -> None:
         raise ValueError(f"unknown estimand {estimand!r}; expected one of {ESTIMANDS}")
 
 
-def _finish(values, estimand, method, kept, T, extra=None) -> BalanceWeights:
+def _finish(values, estimand, method, T, extra=None, kept=None) -> BalanceWeights:
+    """The weight set with its diagnostics; every row is kept unless `kept` says otherwise."""
+    if kept is None:
+        kept = np.ones(T.size, dtype=bool)
     diagnostics = {
         "max_weight": float(values[kept].max()) if kept.any() else 0.0,
         "ess_treated": effective_sample_size(values[(T == 1.0) & kept]),
@@ -85,6 +89,22 @@ def _finish(values, estimand, method, kept, T, extra=None) -> BalanceWeights:
 # ---------------------------------------------------------------------------
 # IPTW
 # ---------------------------------------------------------------------------
+
+def _inverse_probability(p, T, estimand, n1):
+    """IPTW weights at propensities p: 1/p for treated and 1/(1-p) for control
+    rows over n (ATE), or 1/n1 for treated and the odds p/(1-p) over n1 for
+    control rows (ATT)."""
+    if estimand == "ATE":
+        return (T / p + (1.0 - T) / (1.0 - p)) / T.size
+    return np.where(T == 1.0, 1.0 / n1, p / ((1.0 - p) * n1))
+
+
+def _sum_to_one(w, groups):
+    """w with each group's entries rescaled, in place, to sum to one."""
+    for grp in groups:
+        w[grp] /= w[grp].sum()
+    return w
+
 
 def iptw_weights(
     e_hat: np.ndarray,
@@ -108,26 +128,18 @@ def iptw_weights(
     if np.any(e <= 0.0) or np.any(e >= 1.0):
         raise ValueError("propensity scores must lie strictly inside (0, 1)")
     treated, control = _validate_groups(T)
-    n = T.size
-    if estimand == "ATE":
-        w = (T / e + (1.0 - T) / (1.0 - e)) / n
-    else:
-        w = np.where(T == 1.0, 1.0 / treated.size, e / ((1.0 - e) * treated.size))
-
-    kept = np.ones(n, dtype=bool)
+    w = _inverse_probability(e, T, estimand, treated.size)
+    kept = None
     if postproc == "trim99":
         cutoff = float(np.percentile(w, 99.0))
         kept = w <= cutoff
         w = np.where(kept, w, 0.0)
     elif postproc == "cap99":
-        w = np.asarray(w, dtype=float).copy()
         for grp in (treated, control):
             w[grp] = np.minimum(w[grp], np.percentile(w[grp], 99.0))
     elif postproc == "hajek":
-        for grp in (treated, control):
-            total = w[grp].sum()
-            w[grp] = w[grp] / total
-    return _finish(w, estimand, "iptw", kept, T, {"postproc": postproc})
+        _sum_to_one(w, (treated, control))
+    return _finish(w, estimand, "iptw", T, {"postproc": postproc}, kept)
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +155,7 @@ def _uniform_weights(T, estimand, method) -> BalanceWeights:
     w = np.empty(T.size)
     w[treated] = 1.0 / treated.size
     w[control] = 1.0 / control.size
-    kept = np.ones(T.size, dtype=bool)
-    return _finish(w, estimand, method, kept, np.asarray(T, float), {"solver_status": "degenerate_uniform"})
+    return _finish(w, estimand, method, T, {"solver_status": "degenerate_uniform"})
 
 
 def energy_distance_objective(D: np.ndarray, w: np.ndarray, T: np.ndarray, estimand: str) -> float:
@@ -180,21 +191,18 @@ def energy_distance_objective(D: np.ndarray, w: np.ndarray, T: np.ndarray, estim
     return between(w[control], np.ones(n1))
 
 
-def energy_balance(
-    X: np.ndarray, T: np.ndarray, estimand: str, geometry: Geometry | None = None
-) -> BalanceWeights:
+def energy_balance(geometry: Geometry, T: np.ndarray, estimand: str) -> BalanceWeights:
     """Weights minimizing the discrete energy distance between the weighted
-    group distributions and their targets; group sums normalized to one.
-    `geometry`, if given, supplies the distance matrix of X."""
+    group distributions and their targets, from the sample's distance matrix;
+    group sums normalized to one."""
     _check_estimand(estimand)
-    X = np.atleast_2d(np.asarray(X, dtype=float))
     T = np.asarray(T, dtype=float)
     treated, control = _validate_groups(T)
-    if _rows_all_identical(X):
+    if _rows_all_identical(geometry.X):
         return _uniform_weights(T, estimand, "eb")
     n = T.size
     n1, n0 = treated.size, control.size
-    D = Geometry.of(X, geometry).distances()
+    D = geometry.distances()
 
     if estimand == "ATE":
         # each entry is its pair's coefficient times D, one rounding as in a
@@ -219,10 +227,8 @@ def energy_balance(
         raw[control] = sol.w
         constant = -(1.0 / n1**2) * float(T @ (D @ T))
 
-    w = np.zeros(n)
-    w[treated] = raw[treated] / raw[treated].sum() if raw[treated].sum() > 0 else 0.0
-    w[control] = raw[control] / raw[control].sum() if raw[control].sum() > 0 else 0.0
-    kept = np.ones(n, dtype=bool)
+    # each group's QP sums to the group's size, so no group sum is zero
+    w = _sum_to_one(raw, (treated, control))
     extra = {
         "solver_status": sol.status,
         "solver_iterations": sol.iterations,
@@ -231,14 +237,14 @@ def energy_balance(
         # the QP objective plus the terms free of w: energy_distance_objective at raw
         "energy_objective": sol.objective + constant,
     }
-    return _finish(w, estimand, "eb", kept, T, extra)
+    return _finish(w, estimand, "eb", T, extra)
 
 
 # ---------------------------------------------------------------------------
 # Kernel optimal matching
 # ---------------------------------------------------------------------------
 
-def gp_ridge_selection(K_group: np.ndarray, y_group: np.ndarray, grid=KOM_RIDGE_GRID):
+def gp_ridge_selection(K_group: np.ndarray, y_group: np.ndarray):
     """Ridge from the Gaussian-process marginal likelihood of the (centered)
     group outcomes, with the signal amplitude profiled out in closed form so the
     ridge plays the noise-to-signal role. The grid evidence is combined by an
@@ -255,7 +261,7 @@ def gp_ridge_selection(K_group: np.ndarray, y_group: np.ndarray, grid=KOM_RIDGE_
     mu, U = np.linalg.eigh(K_group)
     proj2 = (U.T @ yc) ** 2
     lmls, lams = [], []
-    for lam in grid:
+    for lam in KOM_RIDGE_GRID:
         shifted = mu + lam
         if shifted.min() <= 0.0:
             continue
@@ -293,12 +299,7 @@ def _simplex_qp(K, group, lam, c, spectrum):
 
 
 def kom_weights(
-    X: np.ndarray,
-    T: np.ndarray,
-    Y: np.ndarray,
-    estimand: str,
-    kernel: KernelSpec | None = None,
-    geometry: Geometry | None = None,
+    geometry: Geometry, T: np.ndarray, Y: np.ndarray, estimand: str, kernel: KernelSpec | None = None
 ) -> BalanceWeights:
     """Kernel-optimal-matching weights: minimize the worst-case bias quadratic
     over group simplexes, with per-group ridge chosen by GP marginal likelihood.
@@ -306,17 +307,15 @@ def kom_weights(
     The ATE objective is block-diagonal with a separable linear term, so it is
     solved as one simplex QP per group; the weights are certified only when
     every group's QP is. Each group's QP reuses the eigendecomposition its
-    ridge selection took. `geometry`, if given, supplies the bandwidth and the
-    Gram matrix of X and shares the control group's ridge and
-    eigendecomposition between estimands."""
+    ridge selection took. `geometry` supplies the bandwidth and the Gram
+    matrix, and shares the control group's ridge and eigendecomposition
+    between estimands."""
     _check_estimand(estimand)
-    X = np.atleast_2d(np.asarray(X, dtype=float))
     T = np.asarray(T, dtype=float)
     Y = np.asarray(Y, dtype=float)
     treated, control = _validate_groups(T)
-    if _rows_all_identical(X):
+    if _rows_all_identical(geometry.X):
         return _uniform_weights(T, estimand, "kom")
-    geometry = Geometry.of(X, geometry)
     if kernel is None:
         kernel = KernelSpec("gaussian", geometry.median())
     n = T.size
@@ -342,7 +341,6 @@ def kom_weights(
         w[treated] = 1.0 / n1
     w[control] = sols[0].w
 
-    kept = np.ones(n, dtype=bool)
     extra.update(
         {
             "solver_status": next((s.status for s in sols if s.status != STATUS_OPTIMAL), STATUS_OPTIMAL),
@@ -351,7 +349,7 @@ def kom_weights(
             "diagonal_shift": max(s.diagonal_shift for s in sols),
         }
     )
-    return _finish(w, estimand, "kom", kept, T, extra)
+    return _finish(w, estimand, "kom", T, extra)
 
 
 # ---------------------------------------------------------------------------
@@ -364,12 +362,9 @@ class TlfModel:
 
     alpha: np.ndarray
     intercept: float
-    kernel: KernelSpec
-    lam: float
-    gram: np.ndarray
-    converged: bool = True
-    iterations: int = 0
-    grad_norm: float = 0.0
+    converged: bool
+    iterations: int
+    grad_norm: float
 
 
 def tlf_score(q, t, estimand: str):
@@ -383,10 +378,15 @@ def tlf_score(q, t, estimand: str):
     return -(1.0 - t) * logodds - t / q
 
 
+def _tlf_propensity(eta):
+    """The model's propensity at linear predictor eta, kept inside [1e-12, 1 - 1e-12]."""
+    return np.clip(expit(eta), 1e-12, 1.0 - 1e-12)
+
+
 def _tlf_terms(eta, T, estimand):
     """Tailored score s, its first derivative u and its second derivative h <= 0
     in the linear predictor eta, elementwise."""
-    p = np.clip(expit(eta), 1e-12, 1.0 - 1e-12)
+    p = _tlf_propensity(eta)
     if estimand == "ATE":
         s = (2.0 * T - 1.0) * eta - T / p - (1.0 - T) / (1.0 - p)
         u = T / p - (1.0 - T) / (1.0 - p)
@@ -404,28 +404,6 @@ def _tlf_value_grad(K, T, intercept, alpha, lam, estimand):
     s, u, _ = _tlf_terms(intercept + K_alpha, T, estimand)
     value = float(s.mean()) - lam * float(alpha @ K_alpha)
     return value, float(u.mean()), K @ (u / n - 2.0 * lam * alpha)
-
-
-def tlf_fit(
-    X: np.ndarray,
-    T: np.ndarray,
-    estimand: str,
-    lam: float,
-    gamma: float,
-    geometry: Geometry | None = None,
-) -> TlfModel:
-    """Maximize the penalized tailored scoring rule by damped Newton, starting
-    from alpha = 0 and the marginal log-odds intercept. `geometry`, if given,
-    supplies the Laplacian Gram matrix of X."""
-    _check_estimand(estimand)
-    if gamma <= 0:
-        raise ValueError("need gamma > 0")
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    T = np.asarray(T, dtype=float)
-    _validate_groups(T)
-    kernel = KernelSpec("laplacian", gamma)
-    K = Geometry.of(X, geometry).gram(kernel)
-    return _tlf_fit_gram(K, T, estimand, lam, kernel)
 
 
 def _tlf_newton_rows(K, T, estimand):
@@ -462,13 +440,18 @@ def _tlf_newton_direction(split, u, h, alpha, lam, system):
     return direction
 
 
-def _tlf_fit_gram(K, T, estimand, lam, kernel) -> TlfModel:
-    """Damped Newton on (intercept, alpha) for the concave objective; certified
+def tlf_fit(K: np.ndarray, T: np.ndarray, estimand: str, lam: float) -> TlfModel:
+    """Maximize the penalized tailored scoring rule in the RKHS whose Gram
+    matrix K is that of the rows T labels, by damped Newton on (intercept,
+    alpha) from alpha = 0 and the marginal log-odds intercept; certified
     (converged) only when max|gradient| < TLF_GTOL within TLF_MAX_ITER steps.
     For ATT the Newton system is solved on the treated rows only (see
     _tlf_newton_rows)."""
+    _check_estimand(estimand)
     if lam <= 0:  # the objective is unbounded, and for ATT the system singular
         raise ValueError("need lam > 0")
+    T = np.asarray(T, dtype=float)
+    _validate_groups(T)
     n = T.size
     rate = min(max(T.mean(), 1e-6), 1.0 - 1e-6)
     intercept = float(np.log(rate / (1.0 - rate)))
@@ -498,25 +481,15 @@ def _tlf_fit_gram(K, T, estimand, lam, kernel) -> TlfModel:
             break
         (intercept, alpha), value, g0, ga = cand, cand_v, cand_g0, cand_ga
         iterations += 1
-    return TlfModel(alpha, intercept, kernel, lam, K, gnorm < TLF_GTOL, iterations, gnorm)
+    return TlfModel(alpha, intercept, gnorm < TLF_GTOL, iterations, gnorm)
 
 
-def tlf_predict(model: TlfModel) -> np.ndarray:
-    """Fitted propensities at the rows the model was fitted on."""
-    return np.clip(expit(model.intercept + model.gram @ model.alpha), 1e-12, 1.0 - 1e-12)
-
-
-def select_tlf_hyper(
-    X: np.ndarray,
-    T: np.ndarray,
-    estimands,
-    lambdas=TLF_LAMBDA_GRID,
-    gammas=TLF_GAMMA_GRID,
-    folds: int = 5,
-) -> dict:
-    """(lambda, gamma) for each estimand, picked by 5-fold cross-validated mean
-    tailored score. Each gamma's Gram matrix is built once, and each fold's
-    train and test blocks of it are copied once, for all (estimand, lambda)."""
+def select_tlf_hyper(X: np.ndarray, T: np.ndarray, estimands) -> dict:
+    """(lambda, gamma) for each estimand from TLF_LAMBDA_GRID x TLF_GAMMA_GRID,
+    picked by TLF_FOLDS-fold cross-validated mean tailored score. Each gamma's
+    Gram matrix is built once, and each fold's train and test blocks of it are
+    copied once, for all (estimand, lambda)."""
+    lambdas, gammas, folds = TLF_LAMBDA_GRID, TLF_GAMMA_GRID, TLF_FOLDS
     X = np.atleast_2d(np.asarray(X, dtype=float))
     T = np.asarray(T, dtype=float)
     n = T.size
@@ -525,8 +498,7 @@ def select_tlf_hyper(
     best = {estimand: (float(lambdas[0]), float(gammas[0])) for estimand in estimands}
     best_score = dict.fromkeys(estimands, -np.inf)
     for gamma in gammas:
-        kernel = KernelSpec("laplacian", gamma)
-        K = gram_matrix(kernel, X)
+        K = gram_matrix(KernelSpec("laplacian", gamma), X)
         # fold scores per (estimand, lambda); None once a fold fit is uncertified,
         # which makes the whole grid point ineligible
         fold_scores = {point: [] for point in points}
@@ -540,11 +512,11 @@ def select_tlf_hyper(
             for estimand, lam in points:
                 if fold_scores[estimand, lam] is None:
                     continue
-                model = _tlf_fit_gram(K_tr, t_train, estimand, lam, kernel)
+                model = tlf_fit(K_tr, t_train, estimand, lam)
                 if not model.converged:
                     fold_scores[estimand, lam] = None
                     continue
-                p = np.clip(expit(model.intercept + K_te @ model.alpha), 1e-12, 1.0 - 1e-12)
+                p = _tlf_propensity(model.intercept + K_te @ model.alpha)
                 fold_scores[estimand, lam].append(float(tlf_score(p, T[test], estimand).mean()))
         for (estimand, lam), scores in fold_scores.items():
             if not scores:
@@ -556,35 +528,21 @@ def select_tlf_hyper(
     return best
 
 
-def tlf_weights(
-    X: np.ndarray,
-    T: np.ndarray,
-    estimand: str,
-    hyper: dict,
-    geometry: Geometry | None = None,
-) -> BalanceWeights:
+def tlf_weights(geometry: Geometry, T: np.ndarray, estimand: str, hyper: dict) -> BalanceWeights:
     """IPTW-formula weights from the tailored-loss propensity fit at
-    hyper = {"lambda": ..., "gamma": ...} (see select_tlf_hyper), normalized so
-    each group's weights sum to one. `geometry`, if given, supplies the
-    Laplacian Gram matrix of X."""
+    hyper = {"lambda": ..., "gamma": ...} (see select_tlf_hyper) on the
+    sample's Laplacian Gram matrix, normalized so each group's weights sum to
+    one."""
     _check_estimand(estimand)
-    X = np.atleast_2d(np.asarray(X, dtype=float))
     T = np.asarray(T, dtype=float)
     treated, control = _validate_groups(T)
-    if _rows_all_identical(X):
+    if _rows_all_identical(geometry.X):
         return _uniform_weights(T, estimand, "tlf")
     lam, gamma = float(hyper["lambda"]), float(hyper["gamma"])
-    model = tlf_fit(X, T, estimand, lam, gamma, geometry=geometry)
-    p = tlf_predict(model)
-    n = T.size
-    n1 = treated.size
-    if estimand == "ATE":
-        w = (T / p + (1.0 - T) / (1.0 - p)) / n
-    else:
-        w = np.where(T == 1.0, 1.0 / n1, p / ((1.0 - p) * n1))
-    w[treated] = w[treated] / w[treated].sum()
-    w[control] = w[control] / w[control].sum()
-    kept = np.ones(n, dtype=bool)
+    K = geometry.gram(KernelSpec("laplacian", gamma))
+    model = tlf_fit(K, T, estimand, lam)
+    p = _tlf_propensity(model.intercept + K @ model.alpha)
+    w = _sum_to_one(_inverse_probability(p, T, estimand, treated.size), (treated, control))
     extra = {
         "solver_status": "converged" if model.converged else "max_iter",
         "solver_iterations": model.iterations,
@@ -592,7 +550,7 @@ def tlf_weights(
         "lambda": lam,
         "gamma": gamma,
     }
-    return _finish(w, estimand, "tlf", kept, T, extra)
+    return _finish(w, estimand, "tlf", T, extra)
 
 
 def weights_to_csv(weight_sets: list[BalanceWeights], path) -> None:

@@ -110,7 +110,7 @@ def test_criterion_6_tlf_wa_ate():
     vals = []
     for rep in range(300):
         ds = bb.generate_dataset(spec, bb.replication_rng(spec, rep))
-        bw = tlf_weights(ds.X, ds.T, "ATE", hyper={"lambda": 0.1, "gamma": 2.0})
+        bw = tlf_weights(bb.Geometry(ds.X), ds.T, "ATE", hyper={"lambda": 0.1, "gamma": 2.0})
         vals.append(weighted_average(ds.Y, ds.T, bw).value)
     bias = float(np.mean(vals))
     ok = abs(bias - 0.146) <= 0.03
@@ -178,7 +178,7 @@ def test_criterion_10b_eb_kom_grid_oracles():
     rng = np.random.default_rng(4)
     X = rng.standard_normal((6, 2))
     T = np.array([1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
-    bw = bb.energy_balance(X, T, "ATT")
+    bw = bb.energy_balance(bb.Geometry(X), T, "ATT")
     control = np.nonzero(T == 0.0)[0]
     treated = np.nonzero(T == 1.0)[0]
     cross_mean = np.array(
@@ -199,7 +199,7 @@ def test_criterion_10b_eb_kom_grid_oracles():
     T5 = np.array([1.0, 1.0, 0.0, 0.0, 0.0])
     Y5 = (rng.random(5) < 0.4).astype(float)
     kernel = KernelSpec("gaussian", 1.3)
-    bw5 = bb.kom_weights(X5, T5, Y5, "ATT", kernel=kernel)
+    bw5 = bb.kom_weights(bb.Geometry(X5), T5, Y5, "ATT", kernel=kernel)
     lam = bw5.diagnostics["ridge_control"]
     K = gram_matrix(kernel, X5)
     ctrl = T5 == 0.0

@@ -290,10 +290,8 @@ def test_tlf_through_harness_uses_cached_hyper():
 
 
 def test_uncertified_tlf_fit_becomes_invalid_record(monkeypatch):
-    real = weights._tlf_fit_gram
-    monkeypatch.setattr(
-        weights, "_tlf_fit_gram", lambda *args: dataclasses.replace(real(*args), converged=False)
-    )
+    real = weights.tlf_fit
+    monkeypatch.setattr(weights, "tlf_fit", lambda *args: dataclasses.replace(real(*args), converged=False))
     config = small_config(methods=("tlf",), estimators=("WA", "OLS"), estimands=("ATE", "ATT"))
     spec = bb.build_scenario("common", "low", 250, config.master_seed)
     hyper = {estimand: {"lambda": 1e-2, "gamma": 0.5} for estimand in ("ATE", "ATT")}
@@ -570,12 +568,12 @@ def test_standalone_weights_equal_replication_weights(monkeypatch):
     config = small_config(methods=("eb", "kom", "tlf"), estimands=("ATE", "ATT"))
     spec = bb.build_scenario("common", "low", 250, config.master_seed)
     run_replication(spec, 1, config, FIXED_TLF_HYPER)
-    ds = bb.generate_dataset(spec, bb.replication_rng(spec, 1, config.master_seed))
+    ds = bb.generate_dataset(spec, bb.replication_rng(spec, 1))
     for estimand in ("ATE", "ATT"):
         alone = {
-            "eb": weights.energy_balance(ds.X, ds.T, estimand),
-            "kom": weights.kom_weights(ds.X, ds.T, ds.Y, estimand),
-            "tlf": weights.tlf_weights(ds.X, ds.T, estimand, hyper=FIXED_TLF_HYPER[estimand]),
+            "eb": weights.energy_balance(bb.Geometry(ds.X), ds.T, estimand),
+            "kom": weights.kom_weights(bb.Geometry(ds.X), ds.T, ds.Y, estimand),
+            "tlf": weights.tlf_weights(bb.Geometry(ds.X), ds.T, estimand, hyper=FIXED_TLF_HYPER[estimand]),
         }
         for method, bw in alone.items():
             assert np.array_equal(bw.values, used[(method, estimand)]), (method, estimand)
@@ -584,7 +582,7 @@ def test_standalone_weights_equal_replication_weights(monkeypatch):
 def test_uncertified_kom_ate_group_qp_invalidates_every_kom_ate_record(monkeypatch):
     config = small_config(methods=("eb", "kom"), estimators=("WA", "AWA", "OLS"), estimands=("ATE", "ATT"))
     spec = bb.build_scenario("common", "low", 250, config.master_seed)
-    ds = bb.generate_dataset(spec, bb.replication_rng(spec, 0, config.master_seed))
+    ds = bb.generate_dataset(spec, bb.replication_rng(spec, 0))
     assert len({ds.n1, ds.n0, ds.n}) == 3  # only KOM-ATE's treated-group QP has n1 variables
     real = weights.solve_qp
 
@@ -635,12 +633,14 @@ def test_tlf_selection_builds_each_gram_once_for_both_estimands(monkeypatch):
     assert sorted(args[0].scale for _, args, _ in log) == sorted(weights.TLF_GAMMA_GRID)
 
 
-def test_joint_tlf_selection_equals_selection_per_estimand():
+def test_joint_tlf_selection_equals_selection_per_estimand(monkeypatch):
     spec = bb.build_scenario("rare", "high", 120, 4)
     ds = bb.generate_dataset(spec, bb.replication_rng(spec, 0))
-    grid = dict(lambdas=(1e-3, 1e-2, 1e-1), gammas=(0.5, 1.0), folds=3)
-    joint = weights.select_tlf_hyper(ds.X, ds.T, ("ATE", "ATT"), **grid)
-    assert joint == {e: weights.select_tlf_hyper(ds.X, ds.T, (e,), **grid)[e] for e in ("ATE", "ATT")}
+    monkeypatch.setattr(weights, "TLF_LAMBDA_GRID", (1e-3, 1e-2, 1e-1))
+    monkeypatch.setattr(weights, "TLF_GAMMA_GRID", (0.5, 1.0))
+    monkeypatch.setattr(weights, "TLF_FOLDS", 3)
+    joint = weights.select_tlf_hyper(ds.X, ds.T, ("ATE", "ATT"))
+    assert joint == {e: weights.select_tlf_hyper(ds.X, ds.T, (e,))[e] for e in ("ATE", "ATT")}
 
 
 def test_bad_values_raise_config_error():

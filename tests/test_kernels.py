@@ -137,13 +137,3 @@ def test_geometry_release_keeps_scalars_and_rebuilds_arrays():
     assert geometry.memo("spectrum", lambda: None) is None
     np.testing.assert_array_equal(geometry.distances(), distances)
     np.testing.assert_array_equal(geometry.gram(spec), K)
-
-
-def test_geometry_of_checks_covariates():
-    X = np.random.default_rng(5).standard_normal((6, 2))
-    geometry = Geometry(X)
-    assert Geometry.of(X, geometry) is geometry
-    assert Geometry.of(X.copy(), geometry) is geometry
-    assert Geometry.of(X, None) is not geometry
-    with pytest.raises(ValueError):
-        Geometry.of(X + 1.0, geometry)

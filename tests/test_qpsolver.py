@@ -246,8 +246,8 @@ def _replication_qps(rarity, confounding, n=250, seed=21):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(weights, "solve_qp", capture)
         for estimand in ("ATE", "ATT"):
-            bb.energy_balance(ds.X, ds.T, estimand)
-            bb.kom_weights(ds.X, ds.T, ds.Y, estimand)
+            bb.energy_balance(bb.Geometry(ds.X), ds.T, estimand)
+            bb.kom_weights(bb.Geometry(ds.X), ds.T, ds.Y, estimand)
     return captured
 
 

@@ -13,7 +13,6 @@ from balancebench.weights import (
     gp_ridge_selection,
     select_tlf_hyper,
     tlf_fit,
-    tlf_predict,
     tlf_score,
     tlf_weights,
 )
@@ -97,9 +96,9 @@ def test_att_treated_weights_fixed():
     n1 = ds.n1
     for maker in (
         lambda: bb.iptw_weights(ds.e_true, ds.T, "ATT", "none"),
-        lambda: bb.energy_balance(ds.X, ds.T, "ATT"),
-        lambda: bb.kom_weights(ds.X, ds.T, ds.Y, "ATT"),
-        lambda: tlf_weights(ds.X, ds.T, "ATT", hyper={"lambda": 0.01, "gamma": 0.5}),
+        lambda: bb.energy_balance(bb.Geometry(ds.X), ds.T, "ATT"),
+        lambda: bb.kom_weights(bb.Geometry(ds.X), ds.T, ds.Y, "ATT"),
+        lambda: tlf_weights(bb.Geometry(ds.X), ds.T, "ATT", hyper={"lambda": 0.01, "gamma": 0.5}),
     ):
         bw = maker()
         np.testing.assert_allclose(bw.values[ds.T == 1], 1.0 / n1, atol=1e-12)
@@ -119,7 +118,7 @@ def test_effective_sample_size():
 def test_energy_identical_rows_gives_uniform():
     X = np.ones((10, 10))
     T = np.array([1.0] * 3 + [0.0] * 7)
-    bw = bb.energy_balance(X, T, "ATE")
+    bw = bb.energy_balance(bb.Geometry(X), T, "ATE")
     np.testing.assert_allclose(bw.values[T == 1], 1 / 3)
     np.testing.assert_allclose(bw.values[T == 0], 1 / 7)
     assert bw.diagnostics["solver_status"] == "degenerate_uniform"
@@ -130,7 +129,7 @@ def test_energy_objective_no_worse_than_uniform():
     ds = bb.generate_dataset(spec, bb.replication_rng(spec, 2))
     D = distance_matrix(ds.X)
     for estimand in ("ATE", "ATT"):
-        bw = bb.energy_balance(ds.X, ds.T, estimand)
+        bw = bb.energy_balance(bb.Geometry(ds.X), ds.T, estimand)
         raw = bw.values.copy()
         raw[ds.T == 1] *= ds.n1
         raw[ds.T == 0] *= ds.n0
@@ -146,7 +145,7 @@ def test_energy_objective_diagnostic_matches_direct_evaluation():
     ds = bb.generate_dataset(spec, bb.replication_rng(spec, 0))
     D = distance_matrix(ds.X)
     for estimand in ("ATE", "ATT"):
-        bw = bb.energy_balance(ds.X, ds.T, estimand)
+        bw = bb.energy_balance(bb.Geometry(ds.X), ds.T, estimand)
         raw = bw.values.copy()
         raw[ds.T == 1] = ds.n1 * raw[ds.T == 1] if estimand == "ATE" else 1.0
         raw[ds.T == 0] *= ds.n0
@@ -184,7 +183,7 @@ def test_energy_att_matches_grid_oracle():
     rng = np.random.default_rng(4)
     X = rng.standard_normal((6, 2))
     T = np.array([1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
-    bw = bb.energy_balance(X, T, "ATT")
+    bw = bb.energy_balance(bb.Geometry(X), T, "ATT")
     control = np.nonzero(T == 0.0)[0]
     treated = np.nonzero(T == 1.0)[0]
 
@@ -208,9 +207,9 @@ def test_energy_att_matches_grid_oracle():
 def test_energy_weights_permutation_equivariant():
     spec = bb.build_scenario("common", "low", 80, 5)
     ds = bb.generate_dataset(spec, bb.replication_rng(spec, 1))
-    bw = bb.energy_balance(ds.X, ds.T, "ATE")
+    bw = bb.energy_balance(bb.Geometry(ds.X), ds.T, "ATE")
     perm = np.random.default_rng(0).permutation(ds.n)
-    bw_p = bb.energy_balance(ds.X[perm], ds.T[perm], "ATE")
+    bw_p = bb.energy_balance(bb.Geometry(ds.X[perm]), ds.T[perm], "ATE")
     np.testing.assert_allclose(bw_p.values, bw.values[perm], atol=1e-6)
 
 
@@ -221,7 +220,7 @@ def test_energy_weights_permutation_equivariant():
 def test_kom_att_single_control():
     X = np.vstack([np.random.default_rng(0).standard_normal((4, 3)), [[0.0, 0.0, 0.0]]])
     T = np.array([1.0, 1.0, 1.0, 1.0, 0.0])
-    bw = bb.kom_weights(X, T, np.array([1.0, 0.0, 1.0, 0.0, 1.0]), "ATT")
+    bw = bb.kom_weights(bb.Geometry(X), T, np.array([1.0, 0.0, 1.0, 0.0, 1.0]), "ATT")
     assert bw.values[4] == pytest.approx(1.0, abs=1e-9)
 
 
@@ -231,7 +230,7 @@ def test_kom_att_matches_grid_oracle():
     T = np.array([1.0, 1.0, 0.0, 0.0, 0.0])
     Y = (rng.random(5) < 0.4).astype(float)
     kernel = KernelSpec("gaussian", 1.3)
-    bw = bb.kom_weights(X, T, Y, "ATT", kernel=kernel)
+    bw = bb.kom_weights(bb.Geometry(X), T, Y, "ATT", kernel=kernel)
     lam = bw.diagnostics["ridge_control"]
     K = gram_matrix(kernel, X)
     control = T == 0.0
@@ -273,7 +272,7 @@ def test_kom_large_ridge_shrinks_to_uniform():
 def test_kom_identical_rows_uniform():
     X = np.zeros((12, 10))
     T = np.array([1.0] * 4 + [0.0] * 8)
-    bw = bb.kom_weights(X, T, np.zeros(12), "ATE")
+    bw = bb.kom_weights(bb.Geometry(X), T, np.zeros(12), "ATE")
     np.testing.assert_allclose(bw.values[T == 1], 0.25)
     np.testing.assert_allclose(bw.values[T == 0], 0.125)
 
@@ -285,7 +284,7 @@ def test_kom_ate_group_qps_match_joint_qp(rarity):
     for seed in (11, 12, 13):
         spec = bb.build_scenario(rarity, "moderate", 150, seed)
         ds = bb.generate_dataset(spec, bb.replication_rng(spec, 0))
-        bw = bb.kom_weights(ds.X, ds.T, ds.Y, "ATE")
+        bw = bb.kom_weights(bb.Geometry(ds.X), ds.T, ds.Y, "ATE")
         assert bw.diagnostics["solver_status"] == "optimal"
         # the joint block-diagonal QP over all n coordinates
         K = gram_matrix(KernelSpec("gaussian", bw.diagnostics["kernel_scale"]), ds.X)
@@ -314,7 +313,7 @@ def test_kom_ate_certified_only_when_both_group_qps_are(monkeypatch):
         return sol
 
     monkeypatch.setattr(weights, "solve_qp", solve)
-    bw = bb.kom_weights(ds.X, ds.T, ds.Y, "ATE")
+    bw = bb.kom_weights(bb.Geometry(ds.X), ds.T, ds.Y, "ATE")
     assert [s.w.size for s in solved] == [ds.n0, ds.n1]
     assert bw.diagnostics["solver_status"] == "max_iter"
     assert bw.diagnostics["solver_iterations"] == sum(s.iterations for s in solved)
@@ -334,8 +333,8 @@ def test_eb_and_kom_report_qp_iterations(monkeypatch, estimand):
         return solved[-1]
 
     monkeypatch.setattr(weights, "solve_qp", solve)
-    for method in (lambda: bb.energy_balance(ds.X, ds.T, estimand),
-                   lambda: bb.kom_weights(ds.X, ds.T, ds.Y, estimand)):
+    for method in (lambda: bb.energy_balance(bb.Geometry(ds.X), ds.T, estimand),
+                   lambda: bb.kom_weights(bb.Geometry(ds.X), ds.T, ds.Y, estimand)):
         solved.clear()
         bw = method()
         assert bw.diagnostics["solver_status"] == "optimal"
@@ -361,7 +360,7 @@ def _cholesky_ridge_selection(K_group, y_group, grid=weights.KOM_RIDGE_GRID):
     return float(np.exp(evidence / evidence.sum() @ np.log(lams))), max(lmls)
 
 
-def test_gp_ridge_selection_matches_cholesky_reference():
+def test_gp_ridge_selection_matches_cholesky_reference(monkeypatch):
     spec = bb.build_scenario("common", "moderate", 250, 7)
     ds = bb.generate_dataset(spec, bb.replication_rng(spec, 0))
     K = gram_matrix(KernelSpec("gaussian", bb.median_heuristic(ds.X)), ds.X)
@@ -379,14 +378,15 @@ def test_gp_ridge_selection_matches_cholesky_reference():
         np.testing.assert_allclose((U * mu) @ U.T, K_group, rtol=0, atol=1e-12)
     assert np.linalg.eigvalsh(cases[2][0]).min() + 1e-2 < 0
     # no ridge in the grid makes K - 10 I positive definite
-    ridge, diag, _ = gp_ridge_selection(K_c - 10.0 * np.eye(y_c.size), y_c, grid=(1e-3, 1.0))
+    monkeypatch.setattr(weights, "KOM_RIDGE_GRID", (1e-3, 1.0))
+    ridge, diag, _ = gp_ridge_selection(K_c - 10.0 * np.eye(y_c.size), y_c)
     assert (ridge, diag) == (1.0, {"ridge_fallback": True})
 
 
 def test_kom_ate_group_sums():
     spec = bb.build_scenario("common", "moderate", 120, 10)
     ds = bb.generate_dataset(spec, bb.replication_rng(spec, 0))
-    bw = bb.kom_weights(ds.X, ds.T, ds.Y, "ATE")
+    bw = bb.kom_weights(bb.Geometry(ds.X), ds.T, ds.Y, "ATE")
     assert bw.values[ds.T == 1].sum() == pytest.approx(1.0, abs=1e-6)
     assert bw.values[ds.T == 0].sum() == pytest.approx(1.0, abs=1e-6)
     assert np.all(bw.values >= 0)
@@ -395,6 +395,21 @@ def test_kom_ate_group_sums():
 # ---------------------------------------------------------------------------
 # Tailored loss functions
 # ---------------------------------------------------------------------------
+
+def laplacian_gram(X, gamma=0.5):
+    return gram_matrix(KernelSpec("laplacian", gamma), X)
+
+
+def tlf_propensity(model, K):
+    """The fitted model's propensities at the rows K's columns were fitted on."""
+    return weights._tlf_propensity(model.intercept + K @ model.alpha)
+
+
+@pytest.fixture
+def small_tlf_grid(monkeypatch):
+    monkeypatch.setattr(weights, "TLF_LAMBDA_GRID", (1e-3, 1e-2))
+    monkeypatch.setattr(weights, "TLF_GAMMA_GRID", (0.5, 1.0))
+    monkeypatch.setattr(weights, "TLF_FOLDS", 3)
 
 def test_tlf_score_values():
     assert tlf_score(0.5, 1.0, "ATE") == pytest.approx(-2.0)
@@ -459,10 +474,11 @@ def test_tlf_fit_certifies_in_few_newton_steps():
 
     spec = bb.build_scenario("common", "moderate", 250, 1)
     ds = bb.generate_dataset(spec, bb.replication_rng(spec, 0))
+    K = laplacian_gram(ds.X)
     for estimand in ("ATE", "ATT"):
-        model = tlf_fit(ds.X, ds.T, estimand, lam=1e-2, gamma=0.5)
+        model = tlf_fit(K, ds.T, estimand, lam=1e-2)
         assert model.converged and 1 <= model.iterations <= 20
-        _, g0, ga = _tlf_value_grad(model.gram, ds.T, model.intercept, model.alpha, 1e-2, estimand)
+        _, g0, ga = _tlf_value_grad(K, ds.T, model.intercept, model.alpha, 1e-2, estimand)
         assert max(abs(g0), np.max(np.abs(ga))) == model.grad_norm < 1e-6
 
 
@@ -491,32 +507,34 @@ def test_tlf_att_reduced_newton_direction_matches_full_solve():
 def test_tlf_att_fit_takes_the_full_systems_newton_steps(monkeypatch, rarity, confounding):
     spec = bb.build_scenario(rarity, confounding, 250, 7)
     ds = bb.generate_dataset(spec, bb.replication_rng(spec, 0))
-    fits = {lam: tlf_fit(ds.X, ds.T, "ATT", lam, 0.5) for lam in weights.TLF_LAMBDA_GRID}
+    K = laplacian_gram(ds.X)
+    fits = {lam: tlf_fit(K, ds.T, "ATT", lam) for lam in weights.TLF_LAMBDA_GRID}
     real = weights._tlf_newton_rows
     # every row in the system, as for ATE: the control rows' step is solved for
     monkeypatch.setattr(weights, "_tlf_newton_rows", lambda K, T, estimand: real(K, T, "ATE"))
     for lam, fit in fits.items():
-        full = tlf_fit(ds.X, ds.T, "ATT", lam, 0.5)
+        full = tlf_fit(K, ds.T, "ATT", lam)
         assert fit.converged and full.converged
         assert fit.iterations == full.iterations >= 1
-        np.testing.assert_allclose(tlf_predict(fit), tlf_predict(full), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(tlf_propensity(fit, K), tlf_propensity(full, K), rtol=0, atol=1e-10)
 
 
-def test_tlf_rejects_nonpositive_penalty():
+def test_tlf_rejects_nonpositive_penalty(monkeypatch, small_tlf_grid):
     spec = bb.build_scenario("common", "low", 30, 3)
     ds = bb.generate_dataset(spec, bb.replication_rng(spec, 0))
     for lam in (0.0, -1e-3):
         with pytest.raises(ValueError):
-            tlf_fit(ds.X, ds.T, "ATT", lam=lam, gamma=0.5)
+            tlf_fit(laplacian_gram(ds.X), ds.T, "ATT", lam=lam)
+    monkeypatch.setattr(weights, "TLF_LAMBDA_GRID", (0.0,))
     with pytest.raises(ValueError):
-        select_tlf_hyper(ds.X, ds.T, ("ATE",), lambdas=(0.0,), gammas=(0.5,), folds=3)
+        select_tlf_hyper(ds.X, ds.T, ("ATE",))
 
 
 def test_tlf_weight_sums():
     spec = bb.build_scenario("rare", "low", 150, 6)
     ds = bb.generate_dataset(spec, bb.replication_rng(spec, 0))
     for estimand in ("ATE", "ATT"):
-        bw = tlf_weights(ds.X, ds.T, estimand, hyper={"lambda": 1e-2, "gamma": 0.5})
+        bw = tlf_weights(bb.Geometry(ds.X), ds.T, estimand, hyper={"lambda": 1e-2, "gamma": 0.5})
         assert bw.values[ds.T == 1].sum() == pytest.approx(1.0, abs=1e-6)
         assert bw.values[ds.T == 0].sum() == pytest.approx(1.0, abs=1e-6)
         assert bw.diagnostics["solver_status"] == "converged"
@@ -524,12 +542,22 @@ def test_tlf_weight_sums():
         assert bw.diagnostics["grad_norm"] < 1e-6
 
 
+def test_tlf_weights_are_hajek_iptw_weights_at_its_propensities():
+    spec = bb.build_scenario("rare", "low", 150, 6)
+    ds = bb.generate_dataset(spec, bb.replication_rng(spec, 0))
+    K = laplacian_gram(ds.X)
+    for estimand in ("ATE", "ATT"):
+        p = tlf_propensity(tlf_fit(K, ds.T, estimand, lam=1e-2), K)
+        bw = tlf_weights(bb.Geometry(ds.X), ds.T, estimand, hyper={"lambda": 1e-2, "gamma": 0.5})
+        assert np.array_equal(bw.values, bb.iptw_weights(p, ds.T, estimand, "hajek").values)
+
+
 def test_tlf_huge_penalty_collapses_to_intercept():
     spec = bb.build_scenario("common", "low", 100, 2)
     ds = bb.generate_dataset(spec, bb.replication_rng(spec, 0))
-    model = tlf_fit(ds.X, ds.T, "ATE", lam=1e6, gamma=0.5)
+    model = tlf_fit(laplacian_gram(ds.X), ds.T, "ATE", lam=1e6)
     assert np.max(np.abs(model.alpha)) < 1e-4
-    bw = tlf_weights(ds.X, ds.T, "ATE", hyper={"lambda": 1e6, "gamma": 0.5})
+    bw = tlf_weights(bb.Geometry(ds.X), ds.T, "ATE", hyper={"lambda": 1e6, "gamma": 0.5})
     hajek = bb.iptw_weights(np.full(ds.n, ds.n1 / ds.n), ds.T, "ATE", "hajek")
     np.testing.assert_allclose(bw.values, hajek.values, atol=1e-3)
 
@@ -538,37 +566,41 @@ def test_tlf_recovers_constant_propensity():
     rng = np.random.default_rng(12)
     X = bb.sample_covariates(1000, rng)
     T = (rng.random(1000) < 0.3).astype(float)
-    model = tlf_fit(X, T, "ATE", lam=1e-1, gamma=0.5)
-    p = tlf_predict(model)
+    K = laplacian_gram(X)
+    p = tlf_propensity(tlf_fit(K, T, "ATE", lam=1e-1), K)
     assert np.max(np.abs(p - T.mean())) < 0.05
 
 
-def test_tlf_hyper_selection_is_deterministic_and_on_grid():
+def test_tlf_hyper_selection_is_deterministic_and_on_grid(small_tlf_grid):
     spec = bb.build_scenario("common", "low", 120, 4)
     ds = bb.generate_dataset(spec, bb.replication_rng(spec, 0))
-    grid = dict(lambdas=(1e-3, 1e-2), gammas=(0.5, 1.0), folds=3)
-    lam, gamma = select_tlf_hyper(ds.X, ds.T, ("ATE",), **grid)["ATE"]
-    lam2, gamma2 = select_tlf_hyper(ds.X, ds.T, ("ATE",), **grid)["ATE"]
+    lam, gamma = select_tlf_hyper(ds.X, ds.T, ("ATE",))["ATE"]
+    lam2, gamma2 = select_tlf_hyper(ds.X, ds.T, ("ATE",))["ATE"]
     assert (lam, gamma) == (lam2, gamma2)
     assert lam in (1e-3, 1e-2) and gamma in (0.5, 1.0)
 
 
-def test_tlf_hyper_selection_skips_uncertified_points(monkeypatch):
+def test_tlf_hyper_selection_skips_uncertified_points(monkeypatch, small_tlf_grid):
     spec = bb.build_scenario("common", "low", 120, 4)
     ds = bb.generate_dataset(spec, bb.replication_rng(spec, 0))
-    grid = dict(lambdas=(1e-3, 1e-2), gammas=(0.5, 1.0), folds=3)
-    best = select_tlf_hyper(ds.X, ds.T, ("ATE",), **grid)["ATE"]
-    real = weights._tlf_fit_gram
+    best = select_tlf_hyper(ds.X, ds.T, ("ATE",))["ATE"]
+    real_gram, real_fit = weights.gram_matrix, weights.tlf_fit
+    gamma = []  # the gamma of the Gram matrix the selection is fitting on
 
-    def fit(K, T, estimand, lam, kernel, *args):
-        model = real(K, T, estimand, lam, kernel, *args)
-        uncertified = (lam, kernel.scale) == best
+    def gram(kernel, X):
+        gamma[:] = [kernel.scale]
+        return real_gram(kernel, X)
+
+    def fit(K, T, estimand, lam):
+        model = real_fit(K, T, estimand, lam)
+        uncertified = (lam, gamma[0]) == best
         return dataclasses.replace(model, converged=model.converged and not uncertified)
 
-    monkeypatch.setattr(weights, "_tlf_fit_gram", fit)
-    again = select_tlf_hyper(ds.X, ds.T, ("ATE",), **grid)["ATE"]
+    monkeypatch.setattr(weights, "gram_matrix", gram)
+    monkeypatch.setattr(weights, "tlf_fit", fit)
+    again = select_tlf_hyper(ds.X, ds.T, ("ATE",))["ATE"]
     assert again != best
-    assert again[0] in grid["lambdas"] and again[1] in grid["gammas"]
+    assert again[0] in weights.TLF_LAMBDA_GRID and again[1] in weights.TLF_GAMMA_GRID
 
 
 def test_weights_csv_export(tmp_path):
