@@ -14,7 +14,6 @@ from .harness import (
     MetricsSummary,
     ReplicationRecord,
     RunConfig,
-    coverage_rate,
     emit_results,
     run,
     run_scenario,
@@ -33,8 +32,6 @@ from .scenarios import (
     grid_scenarios,
     replication_rng,
     sample_covariates,
-    true_propensity,
-    true_response,
 )
 from .weights import (
     BalanceWeights,

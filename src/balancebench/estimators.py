@@ -16,6 +16,13 @@ from .weights import BalanceWeights
 
 _Z95 = 1.959963984540054  # standard-normal 97.5% quantile
 
+# The range of a usable estimate of a difference of probabilities.
+ESTIMATE_RANGE = (-1.0, 1.0)
+
+
+def in_range(value: float) -> bool:
+    return bool(np.isfinite(value) and ESTIMATE_RANGE[0] <= value <= ESTIMATE_RANGE[1])
+
 
 @dataclass
 class ResponseSurfaces:
@@ -39,8 +46,7 @@ def _finish(value: float, se: float | None = None) -> EffectEstimate:
     if se is not None:
         se = float(se)
         ci = (value - _Z95 * se, value + _Z95 * se)
-    valid = bool(np.isfinite(value) and abs(value) <= 1.0)
-    return EffectEstimate(value, se, ci, valid)
+    return EffectEstimate(value, se, ci, in_range(value))
 
 
 def _kept_arrays(Y, T, weights: BalanceWeights):
@@ -85,9 +91,9 @@ def augmented_weighted_average(Y, T, weights: BalanceWeights, surfaces: Response
     return _finish(value)
 
 
-def sandwich_variance(Y, T, W) -> tuple[float, tuple[float, float]]:
-    """HC0 sandwich standard error and 95% interval for the treatment slope of a
-    weighted least-squares fit of Y on [1, T]; weights treated as fixed constants."""
+def sandwich_variance(Y, T, W) -> float:
+    """HC0 sandwich standard error of the treatment slope of a weighted
+    least-squares fit of Y on [1, T]; weights treated as fixed constants."""
     Y = np.asarray(Y, dtype=float)
     T = np.asarray(T, dtype=float)
     W = np.asarray(W, dtype=float)
@@ -101,8 +107,7 @@ def sandwich_variance(Y, T, W) -> tuple[float, tuple[float, float]]:
     resid = Y - Z @ beta
     meat = Z.T @ ((W**2 * resid**2)[:, None] * Z)
     V = A_inv @ meat @ A_inv
-    se = float(np.sqrt(max(V[1, 1], 0.0)))
-    return se, (float(beta[1] - _Z95 * se), float(beta[1] + _Z95 * se))
+    return float(np.sqrt(max(V[1, 1], 0.0)))
 
 
 def weighted_ols(Y, T, weights: BalanceWeights) -> EffectEstimate:
@@ -117,5 +122,4 @@ def weighted_ols(Y, T, weights: BalanceWeights) -> EffectEstimate:
     if denom <= 0:
         raise EstimationError("degenerate treatment spread under these weights")
     beta = float((wk * (tk - tbar) * (yk - ybar)).sum() / denom)
-    se, _ = sandwich_variance(yk, tk, wk)
-    return _finish(beta, se)
+    return _finish(beta, sandwich_variance(yk, tk, wk))

@@ -14,14 +14,14 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
 
 from . import learners
 from .errors import BalanceBenchError, ConfigError, EstimationError, GenerationError, NumericError
-from .estimators import EffectEstimate, ResponseSurfaces, augmented_weighted_average, weighted_average, weighted_ols
+from .estimators import EffectEstimate, ResponseSurfaces, augmented_weighted_average, in_range, weighted_average, weighted_ols
 from .kernels import Geometry
 from .scenarios import (
     CONFOUNDING_LEVELS,
@@ -182,22 +182,18 @@ _METHOD_ORDER = METHODS + ("crude",)
 _LEARNER_ORDER = CANONICAL_LEARNERS + ("-",)
 
 
-def _position(order, value) -> int:
-    return order.index(value) if value in order else len(order)
-
-
 def _sort_key(r) -> tuple:
     """Canonical order of records and summaries: scenario, replication, then
-    estimator, method, learner and estimand; unknown labels sort last."""
+    estimator, method, learner and estimand."""
     return (
         r.scenario_n,
         RARITY_LEVELS.index(r.rarity),
         CONFOUNDING_LEVELS.index(r.confounding),
         getattr(r, "replication", 0),
-        _position(_ESTIMATOR_ORDER, r.estimator),
-        _position(_METHOD_ORDER, r.method),
-        _position(_LEARNER_ORDER, r.learner),
-        _position(ESTIMANDS, r.estimand),
+        _ESTIMATOR_ORDER.index(r.estimator),
+        _METHOD_ORDER.index(r.method),
+        _LEARNER_ORDER.index(r.learner),
+        ESTIMANDS.index(r.estimand),
     )
 
 
@@ -292,7 +288,7 @@ def run_replication(spec: ScenarioSpec, replication: int, config: RunConfig, tlf
                 bw = kom_weights(geometry, ds.T, ds.Y, estimand)
             else:
                 bw = tlf_weights(geometry, ds.T, estimand, tlf_hyper[estimand])
-        status = bw.diagnostics.get("solver_status", "closed_form")
+        status = bw.diagnostics["solver_status"]
         if status not in _ACCEPTED_SOLVER_STATUSES:
             raise _Invalid(f"solver_{status}")
         return bw
@@ -431,18 +427,16 @@ def run(config: RunConfig, progress=None) -> list[ReplicationRecord]:
 # Aggregation
 # ---------------------------------------------------------------------------
 
-# The generator's true ATE and ATT, and the range of a usable estimate of a
-# difference of probabilities.
+# The generator's true ATE and ATT.
 TRUE_EFFECT = 0.0
-ESTIMATE_RANGE = (-1.0, 1.0)
 
 
 def summarize(records) -> list[MetricsSummary]:
     """One MetricsSummary per (scenario, estimator, method, learner, estimand) cell.
 
-    Estimates outside ESTIMATE_RANGE (and failed records) are excluded from
-    every moment; valid_pct reports the fraction retained. Errors are taken
-    from TRUE_EFFECT.
+    Estimates outside estimators.ESTIMATE_RANGE (and failed records) are
+    excluded from every moment; valid_pct reports the fraction retained.
+    Errors are taken from TRUE_EFFECT.
     """
     groups: dict = {}
     for r in records:
@@ -450,7 +444,7 @@ def summarize(records) -> list[MetricsSummary]:
     summaries = []
     for key in groups:
         rs = groups[key]
-        vals = np.array([r.value for r in rs if _in_range(r)])
+        vals = np.array([r.value for r in rs if in_range(r.value)])
         m = vals.size
         if m == 0:
             summaries.append(MetricsSummary(*key, len(rs), 0.0, None, None, None, None, None, None))
@@ -469,22 +463,11 @@ def summarize(records) -> list[MetricsSummary]:
     return summaries
 
 
-def _in_range(record) -> bool:
-    return bool(np.isfinite(record.value) and ESTIMATE_RANGE[0] <= record.value <= ESTIMATE_RANGE[1])
-
-
 def _coverage(records) -> float | None:
     """Fraction of CI-carrying records with an in-range estimate whose interval
     contains TRUE_EFFECT; None when there are none."""
-    covered = [r.ci_lo <= TRUE_EFFECT <= r.ci_hi for r in records if r.ci_lo is not None and _in_range(r)]
+    covered = [r.ci_lo <= TRUE_EFFECT <= r.ci_hi for r in records if r.ci_lo is not None and in_range(r.value)]
     return float(np.mean(covered)) if covered else None
-
-
-def coverage_rate(records) -> float:
-    """Coverage as `summarize` computes it, over all of `records`; NaN when no
-    record qualifies."""
-    coverage = _coverage(records)
-    return float("nan") if coverage is None else coverage
 
 
 # ---------------------------------------------------------------------------
@@ -611,25 +594,21 @@ def config_to_text(config: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fmt(value) -> str:
+def _cell(value) -> str:
+    """A summary.csv cell: empty for None, .6g for a float, str otherwise."""
     if value is None:
         return ""
-    return f"{value:.6g}"
+    return f"{value:.6g}" if isinstance(value, float) else str(value)
 
 
 def summary_csv_lines(summaries) -> list[str]:
-    lines = [SUMMARY_HEADER]
-    for s in summaries:
-        lines.append(
-            ",".join(
-                [
-                    str(s.scenario_n), s.rarity, s.confounding, s.estimator, s.method,
-                    s.learner, s.estimand, _fmt(s.valid_pct), _fmt(s.bias), _fmt(s.mae),
-                    _fmt(s.spread_rmse), _fmt(s.var), _fmt(s.rmse_truth), _fmt(s.coverage),
-                ]
-            )
-        )
-    return lines
+    """SUMMARY_HEADER, then one row per summary of the header's own columns."""
+    columns = SUMMARY_HEADER.split(",")
+    return [SUMMARY_HEADER] + [",".join(_cell(getattr(s, c)) for c in columns) for s in summaries]
+
+
+# The keys of a records.ndjson row: every ReplicationRecord field but diagnostics.
+RECORD_COLUMNS = tuple(f.name for f in fields(ReplicationRecord) if f.name != "diagnostics")
 
 
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
@@ -658,14 +637,7 @@ def emit_results(summaries, records, config: RunConfig, wall_time: float = 0.0) 
             paths["records"] = os.path.join(out, "records.ndjson")
             with open(paths["records"], "w") as fh:
                 for r in records:
-                    fh.write(json.dumps({
-                        "scenario_n": r.scenario_n, "rarity": r.rarity,
-                        "confounding": r.confounding, "replication": r.replication,
-                        "method": r.method, "learner": r.learner, "estimator": r.estimator,
-                        "estimand": r.estimand, "value": r.value, "se": r.se,
-                        "ci_lo": r.ci_lo, "ci_hi": r.ci_hi, "valid": r.valid,
-                        "reason": r.reason, "wall_time": r.wall_time,
-                    }) + "\n")
+                    fh.write(json.dumps({c: getattr(r, c) for c in RECORD_COLUMNS}) + "\n")
         paths["manifest"] = os.path.join(out, "manifest.txt")
         with open(paths["manifest"], "w") as fh:
             fh.write("# balancebench run manifest; reusable as --config\n")

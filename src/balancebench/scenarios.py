@@ -168,20 +168,6 @@ def response_scores(spec: ScenarioSpec, X: np.ndarray) -> np.ndarray:
     return _clip_prob(expit(score))
 
 
-def true_propensity(spec: ScenarioSpec, x_row: np.ndarray) -> float:
-    x_row = np.asarray(x_row, dtype=float)
-    if x_row.shape != (10,):
-        raise ValueError(f"expected a length-10 covariate row, got shape {x_row.shape}")
-    return float(propensity_scores(spec, x_row[None, :])[0])
-
-
-def true_response(spec: ScenarioSpec, x_row: np.ndarray) -> float:
-    x_row = np.asarray(x_row, dtype=float)
-    if x_row.shape != (10,):
-        raise ValueError(f"expected a length-10 covariate row, got shape {x_row.shape}")
-    return float(response_scores(spec, x_row[None, :])[0])
-
-
 @dataclass(frozen=True)
 class SimulatedDataset:
     """One generated sample plus the latent truths retained for oracle checks."""

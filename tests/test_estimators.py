@@ -145,7 +145,7 @@ def test_wa_equals_ols_with_group_normalized_weights():
 def test_sandwich_zero_residuals():
     Y = np.array([1.0, 1.0, 0.0, 0.0])
     T = np.array([1.0, 1.0, 0.0, 0.0])
-    se, ci = bb.sandwich_variance(Y, T, np.ones(4))
+    se = bb.sandwich_variance(Y, T, np.ones(4))
     assert se == pytest.approx(0.0, abs=1e-12)
 
 
@@ -156,7 +156,7 @@ def test_sandwich_matches_direct_matrix_oracle():
     T[:2] = [1.0, 0.0]
     Y = rng.standard_normal(n)
     W = np.ones(n)
-    se, _ = bb.sandwich_variance(Y, T, W)
+    se = bb.sandwich_variance(Y, T, W)
 
     Z = np.column_stack([np.ones(n), T])
     beta = np.linalg.solve(Z.T @ Z, Z.T @ Y)

@@ -150,10 +150,10 @@ def test_rmse_decomposition_identity():
 
 def test_coverage_rate():
     hits = [rec(0.0, estimator="OLS", ci=(-0.1, 0.1)) for _ in range(4)]
-    assert bb.coverage_rate(hits) == 1.0
+    assert bb.summarize(hits)[0].coverage == 1.0
     misses = [rec(0.3, estimator="OLS", ci=(0.2, 0.4)) for _ in range(4)]
-    assert bb.coverage_rate(misses) == 0.0
-    assert np.isnan(bb.coverage_rate([rec(0.1)]))
+    assert bb.summarize(misses)[0].coverage == 0.0
+    assert bb.summarize([rec(0.1)])[0].coverage is None
 
 
 def test_coverage_rate_matches_summarize():
@@ -168,8 +168,7 @@ def test_coverage_rate_matches_summarize():
     ]
     (s,) = bb.summarize(records)
     assert s.coverage == pytest.approx(2 / 3)
-    assert bb.coverage_rate(records) == s.coverage
-    assert np.isnan(bb.coverage_rate(records[2:5]))
+    assert bb.summarize(records[2:5])[0].coverage is None
 
 
 def test_summary_coverage_only_for_ci_records():
@@ -198,6 +197,24 @@ def test_emit_results_files(tmp_path):
     assert len(raw) == 4
     manifest = open(paths["manifest"]).read()
     assert "seed = 3" in manifest
+
+
+def test_records_ndjson_rows_are_the_record_fields(tmp_path):
+    config = small_config(estimators=("WA", "OLS"), output_path=str(tmp_path), emit_raw=True)
+    records = run_scenario(config, config.scenarios[0])
+    records.append(rec(float("nan"), estimator="OLS", reason="solver_max_iter"))
+    paths = bb.emit_results(bb.summarize(records), records, config)
+    columns = [f.name for f in dataclasses.fields(ReplicationRecord) if f.name != "diagnostics"]
+    rows = [json.loads(line) for line in open(paths["records"]).read().splitlines()]
+    assert len(rows) == len(records) == 5
+    for row, r in zip(rows, records):
+        assert list(row) == columns
+        for column in columns:
+            want = getattr(r, column)
+            if isinstance(want, float) and np.isnan(want):
+                assert np.isnan(row[column])
+            else:
+                assert row[column] == want
 
 
 def test_summary_roundtrip_to_printed_precision(tmp_path):
@@ -418,6 +435,13 @@ def test_summary_csv_formatting_absent_fields():
                        10, 0.0, None, None, None, None, None, None)
     line = summary_csv_lines([s])[1]
     assert line == "250,common,low,WA,eb,-,ATE,0,,,,,,"
+
+    s = MetricsSummary(500, "rare", "high", "OLS", "iptw", "oracle", "ATT",
+                       10, 0.9, -0.0123456789, 0.5, 1 / 3, 2e-7, 123456.789, 0.95)
+    cells = summary_csv_lines([s])[1].split(",")
+    assert cells[:7] == ["500", "rare", "high", "OLS", "iptw", "oracle", "ATT"]
+    metrics = ("valid_pct", "bias", "mae", "spread_rmse", "var", "rmse_truth", "coverage")
+    assert cells[7:] == [f"{getattr(s, m):.6g}" for m in metrics]
 
 
 def test_weight_dump_files(tmp_path):

@@ -8,6 +8,8 @@ from balancebench.scenarios import (
     ScenarioSpec,
     dichotomize,
     expit,
+    propensity_scores,
+    response_scores,
     sample_latent,
 )
 
@@ -89,17 +91,17 @@ def test_dichotomization_attenuates_correlation():
 def test_true_propensity_at_zero_covariates():
     zeros = np.zeros(10)
     spec = bb.build_scenario("common", "low", 500, 7)
-    assert bb.true_propensity(spec, zeros) == pytest.approx(expit(-1.84), abs=1e-12)
+    assert propensity_scores(spec, zeros[None])[0] == pytest.approx(expit(-1.84), abs=1e-12)
     spec = bb.build_scenario("very_rare", "low", 500, 7)
-    assert bb.true_propensity(spec, zeros) == pytest.approx(expit(-6.5), abs=1e-12)
+    assert propensity_scores(spec, zeros[None])[0] == pytest.approx(expit(-6.5), abs=1e-12)
 
 
 def test_true_response_at_zero_covariates():
     zeros = np.zeros(10)
     spec = bb.build_scenario("common", "low", 500, 7)
-    assert bb.true_response(spec, zeros) == pytest.approx(expit(spec.outcome_intercept), abs=1e-12)
+    assert response_scores(spec, zeros[None])[0] == pytest.approx(expit(spec.outcome_intercept), abs=1e-12)
     spec = bb.build_scenario("common", "high", 500, 7)
-    assert bb.true_response(spec, zeros) == pytest.approx(expit(-4.1 - 0.7734), abs=1e-12)
+    assert response_scores(spec, zeros[None])[0] == pytest.approx(expit(-4.1 - 0.7734), abs=1e-12)
 
 
 def _scalar_propensity(spec, x):
@@ -120,9 +122,10 @@ def test_truths_match_scalar_reimplementation():
     spec = bb.build_scenario("rare", "moderate", 500, 3)
     rng = np.random.default_rng(8)
     X = bb.sample_covariates(50, rng)
+    e, mu = propensity_scores(spec, X), response_scores(spec, X)
     for i in range(50):
-        assert bb.true_propensity(spec, X[i]) == pytest.approx(_scalar_propensity(spec, X[i]), rel=1e-12)
-        assert bb.true_response(spec, X[i]) == pytest.approx(_scalar_response(spec, X[i]), rel=1e-12)
+        assert e[i] == pytest.approx(_scalar_propensity(spec, X[i]), rel=1e-12)
+        assert mu[i] == pytest.approx(_scalar_response(spec, X[i]), rel=1e-12)
 
 
 def test_generate_dataset_invariants():
@@ -152,9 +155,9 @@ def test_oracle_vectors_match_row_oracles():
     spec = bb.build_scenario("very_rare", "high", 200, 9)
     ds = bb.generate_dataset(spec, bb.replication_rng(spec, 1))
     for i in range(0, 200, 37):
-        # row-wise evaluation agrees up to BLAS summation order
-        assert ds.e_true[i] == pytest.approx(bb.true_propensity(spec, ds.X[i]), rel=1e-12)
-        assert ds.mu_true[i] == pytest.approx(bb.true_response(spec, ds.X[i]), rel=1e-12)
+        # the scalar references agree up to summation order
+        assert ds.e_true[i] == pytest.approx(_scalar_propensity(spec, ds.X[i]), rel=1e-12)
+        assert ds.mu_true[i] == pytest.approx(_scalar_response(spec, ds.X[i]), rel=1e-12)
 
 
 def test_event_and_treatment_rates_moderate_n():
