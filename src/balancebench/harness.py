@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
@@ -401,6 +400,8 @@ def _run_scenarios(config: RunConfig, scenarios, progress=None) -> list[Replicat
 
     if config.workers == 1:
         return collect(map(_worker, t) for t in tasks)
+    from concurrent.futures import ProcessPoolExecutor  # imported only when a pool opens
+
     chunk = max(1, config.replications // (config.workers * 8))
     with ProcessPoolExecutor(max_workers=config.workers) as pool:
         try:

@@ -7,6 +7,7 @@ uses main effects only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,25 +49,42 @@ class LogisticModel:
 
 def _log_likelihood(eta: np.ndarray, y: np.ndarray, e: np.ndarray) -> float:
     # sum y*eta - log(1 + exp(eta)), computed stably from e = exp(-|eta|)
-    return float(np.sum(y * eta - (np.maximum(eta, 0.0) + np.log1p(e))))
+    return float((y * eta - (np.maximum(eta, 0.0) + np.log1p(e))).sum())
 
 
 def _irls(Z: np.ndarray, y: np.ndarray, ridge: float, gtol: float):
-    n, p = Z.shape
-    pen = np.full(p, ridge)
-    pen[0] = 0.0  # intercept unpenalized
-    pen_diag = np.diag(pen)
+    """Newton's method with step halving for the log-likelihood less
+    0.5 * ridge * |beta[1:]|^2. At ridge 0 the penalty terms would add exact
+    zeros, so they are left out."""
+    p = Z.shape[1]
+    Zt = Z.T
+    pen = None
+    if ridge:
+        pen = np.full(p, ridge)
+        pen[0] = 0.0  # intercept unpenalized
+        pen_diag = np.diag(pen)
+
+    def objective(b, eta, e):
+        obj = _log_likelihood(eta, y, e)
+        return obj if pen is None else obj - 0.5 * float(pen @ b**2)
+
+    def gradient(b, mu):
+        grad = Zt @ (y - mu)
+        return grad if pen is None else grad - pen * b
+
     beta = np.zeros(p)
     eta = Z @ beta
     e = np.exp(-np.abs(eta))  # one exp per iterate: the likelihood and mu share it
-    obj = _log_likelihood(eta, y, e) - 0.5 * float(pen @ beta**2)
+    obj = objective(beta, eta, e)
     for _ in range(_IRLS_MAX_ITER):
         mu = _expit_from(eta, e)
-        grad = Z.T @ (y - mu) - pen * beta
-        if np.max(np.abs(grad)) < gtol:
+        grad = gradient(beta, mu)
+        if np.abs(grad).max() < gtol:
             return beta, True
         w = np.maximum(mu * (1.0 - mu), 1e-10)
-        hess = Z.T @ (w[:, None] * Z) + pen_diag
+        hess = Zt @ (w[:, None] * Z)
+        if pen is not None:
+            hess += pen_diag
         try:
             delta = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
@@ -77,18 +95,17 @@ def _irls(Z: np.ndarray, y: np.ndarray, ridge: float, gtol: float):
             cand = beta + step * delta
             eta_c = Z @ cand
             e_c = np.exp(-np.abs(eta_c))
-            obj_c = _log_likelihood(eta_c, y, e_c) - 0.5 * float(pen @ cand**2)
-            if np.isfinite(obj_c) and obj_c >= obj - 1e-12:
+            obj_c = objective(cand, eta_c, e_c)
+            if math.isfinite(obj_c) and obj_c >= obj - 1e-12:
                 beta, eta, e, obj = cand, eta_c, e_c, obj_c
                 break
             step *= 0.5
         else:
             return beta, False
-        if not np.all(np.isfinite(beta)) or np.max(np.abs(beta)) > 1e3:
+        if not np.isfinite(beta).all() or np.abs(beta).max() > 1e3:
             return beta, False
-    mu = _expit_from(eta, e)
-    grad = Z.T @ (y - mu) - pen * beta
-    return beta, bool(np.max(np.abs(grad)) < gtol)
+    grad = gradient(beta, _expit_from(eta, e))
+    return beta, bool(np.abs(grad).max() < gtol)
 
 
 def fit_logistic(design: np.ndarray, labels: np.ndarray) -> LogisticModel:

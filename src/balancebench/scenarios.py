@@ -55,7 +55,8 @@ def expit(z):
 def _expit_from(z, e):
     """expit(z) from e = exp(-|z|): 1/(1+e) where z >= 0, e/(1+e) below, which
     are the doubles of 1/(1+exp(-z)) and exp(z)/(1+exp(z)) respectively."""
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 @dataclass(frozen=True)

@@ -49,15 +49,15 @@ class BalanceWeights:
 
 def effective_sample_size(w: np.ndarray) -> float:
     w = np.asarray(w, dtype=float)
-    denom = float(np.sum(w**2))
+    denom = float((w**2).sum())
     if denom == 0.0:
         return 0.0
-    return float(np.sum(w)) ** 2 / denom
+    return float(w.sum()) ** 2 / denom
 
 
 def _validate_groups(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     T = np.asarray(T, dtype=float)
-    if not np.all((T == 0.0) | (T == 1.0)):
+    if not ((T == 0.0) | (T == 1.0)).all():
         raise ValueError("treatment indicator must be 0/1")
     treated = np.nonzero(T == 1.0)[0]
     control = np.nonzero(T == 0.0)[0]
@@ -106,6 +106,19 @@ def _sum_to_one(w, groups):
     return w
 
 
+def _percentile99(w):
+    """np.percentile(w, 99.0), bit for bit, from one partition: numpy's linear
+    interpolation between the order statistics around (size - 1) * 0.99."""
+    pos = (w.size - 1) * 0.99
+    lo = int(pos)
+    if lo == w.size - 1:  # a single value
+        return float(w[lo])
+    a, b = np.partition(w, (lo, lo + 1))[lo:lo + 2]
+    t = pos - lo
+    d = b - a
+    return float(b - d * (1.0 - t)) if t >= 0.5 else float(a + d * t)
+
+
 def iptw_weights(
     e_hat: np.ndarray,
     T: np.ndarray,
@@ -125,18 +138,17 @@ def iptw_weights(
         raise ValueError(f"unknown postproc {postproc!r}; expected one of {POSTPROCS}")
     e = np.asarray(e_hat, dtype=float)
     T = np.asarray(T, dtype=float)
-    if np.any(e <= 0.0) or np.any(e >= 1.0):
+    if (e <= 0.0).any() or (e >= 1.0).any():
         raise ValueError("propensity scores must lie strictly inside (0, 1)")
     treated, control = _validate_groups(T)
     w = _inverse_probability(e, T, estimand, treated.size)
     kept = None
     if postproc == "trim99":
-        cutoff = float(np.percentile(w, 99.0))
-        kept = w <= cutoff
+        kept = w <= _percentile99(w)
         w = np.where(kept, w, 0.0)
     elif postproc == "cap99":
         for grp in (treated, control):
-            w[grp] = np.minimum(w[grp], np.percentile(w[grp], 99.0))
+            w[grp] = np.minimum(w[grp], _percentile99(w[grp]))
     elif postproc == "hajek":
         _sum_to_one(w, (treated, control))
     return _finish(w, estimand, "iptw", T, {"postproc": postproc}, kept)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import os
@@ -378,12 +379,12 @@ def _count_pools(monkeypatch):
     """A list that gets the max_workers of every pool harness opens."""
     opened = []
 
-    class Counted(harness.ProcessPoolExecutor):
+    class Counted(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             opened.append(kwargs.get("max_workers"))
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", Counted)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
     return opened
 
 

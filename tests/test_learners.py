@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import balancebench as bb
+from balancebench import learners
 from balancebench.learners import LogisticModel
-from balancebench.scenarios import expit
+from balancebench.scenarios import CONFOUNDING_LEVELS, RARITY_LEVELS, expit
 
 
 def test_engineer_features_misspecified_is_identity():
@@ -116,3 +117,92 @@ def test_well_specified_beats_misspecified_in_likelihood():
         return float(np.mean(ds.T * np.log(pred) + (1 - ds.T) * np.log1p(-pred)))
 
     assert mean_ll(True) >= mean_ll(False)
+
+
+def _reference_irls(Z, y, ridge, gtol):
+    """The IRLS attempt as written before its ridge-0 path dropped the penalty
+    terms: every iterate, flag and return of `learners._irls` must equal these."""
+    n, p = Z.shape
+    pen = np.full(p, ridge)
+    pen[0] = 0.0
+    pen_diag = np.diag(pen)
+    beta = np.zeros(p)
+    eta = Z @ beta
+    e = np.exp(-np.abs(eta))
+    obj = learners._log_likelihood(eta, y, e) - 0.5 * float(pen @ beta**2)
+    for _ in range(learners._IRLS_MAX_ITER):
+        mu = learners._expit_from(eta, e)
+        grad = Z.T @ (y - mu) - pen * beta
+        if np.max(np.abs(grad)) < gtol:
+            return beta, True
+        w = np.maximum(mu * (1.0 - mu), 1e-10)
+        hess = Z.T @ (w[:, None] * Z) + pen_diag
+        try:
+            delta = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            return beta, False
+        step = 1.0
+        while step >= 1e-10:
+            cand = beta + step * delta
+            eta_c = Z @ cand
+            e_c = np.exp(-np.abs(eta_c))
+            obj_c = learners._log_likelihood(eta_c, y, e_c) - 0.5 * float(pen @ cand**2)
+            if np.isfinite(obj_c) and obj_c >= obj - 1e-12:
+                beta, eta, e, obj = cand, eta_c, e_c, obj_c
+                break
+            step *= 0.5
+        else:
+            return beta, False
+        if not np.all(np.isfinite(beta)) or np.max(np.abs(beta)) > 1e3:
+            return beta, False
+    mu = learners._expit_from(eta, e)
+    grad = Z.T @ (y - mu) - pen * beta
+    return beta, bool(np.max(np.abs(grad)) < gtol)
+
+
+@pytest.fixture(scope="module")
+def iptw_run_fits():
+    """Every fit_logistic call (design, labels, model) and every IRLS attempt
+    ((Z, y, ridge, gtol), beta, converged) of a fixed IPTW run over the nine
+    n=250 scenarios."""
+    fits, attempts = [], []
+    fit, irls = learners.fit_logistic, learners._irls
+
+    def recording_fit(design, labels):
+        model = fit(design, labels)
+        fits.append((design, labels, model))
+        return model
+
+    def recording_irls(*args):
+        beta, converged = irls(*args)
+        attempts.append((args, beta, converged))
+        return beta, converged
+
+    scenarios = tuple((250, r, c) for r in RARITY_LEVELS for c in CONFOUNDING_LEVELS)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(learners, "fit_logistic", recording_fit)
+        mp.setattr(learners, "_irls", recording_irls)
+        bb.run(bb.RunConfig(scenarios=scenarios, replications=5, methods=("iptw",), master_seed=300000))
+    return fits, attempts
+
+
+def test_fits_equal_the_reference_irls_fits(iptw_run_fits, monkeypatch):
+    fits, _ = iptw_run_fits
+    assert len(fits) == 9 * 5 * 6
+    assert any(model.ridge_used > 0.0 for _, _, model in fits)
+    monkeypatch.setattr(learners, "_irls", _reference_irls)
+    for design, labels, model in fits:
+        reference = learners.fit_logistic(design, labels)
+        assert np.array_equal(reference.coefficients, model.coefficients)
+        assert reference.ridge_used == model.ridge_used
+
+
+def test_irls_attempts_equal_the_reference(iptw_run_fits):
+    _, attempts = iptw_run_fits
+    ridges = {args[2] > 0.0 for args, _, _ in attempts}
+    assert ridges == {False, True}
+    assert any(not converged and np.abs(beta).max() > 1e3 for _, beta, converged in attempts)
+    for args, beta, converged in attempts:
+        reference_beta, reference_converged = _reference_irls(*args)
+        assert np.array_equal(reference_beta, beta)
+        assert reference_converged == converged

@@ -64,6 +64,7 @@ def test_trim99_matches_sort_oracle():
     cutoff = srt[lo] + (pos - lo) * (srt[hi] - srt[lo])
     expected_kept = raw <= cutoff
     np.testing.assert_array_equal(bw.kept_mask, expected_kept)
+    np.testing.assert_array_equal(bw.kept_mask, raw <= np.percentile(raw, 99.0))
     assert np.all(bw.values[~bw.kept_mask] == 0.0)
     np.testing.assert_allclose(bw.values[bw.kept_mask], raw[expected_kept])
 
@@ -87,7 +88,19 @@ def test_cap99_truncates_per_group():
     assert bw.kept_mask.all()
     for grp in (T == 1.0, T == 0.0):
         cut = np.percentile(raw[grp], 99.0)
-        np.testing.assert_allclose(bw.values[grp], np.minimum(raw[grp], cut))
+        np.testing.assert_array_equal(bw.values[grp], np.minimum(raw[grp], cut))
+
+
+def test_percentile99_is_numpys_bit_for_bit():
+    rng = np.random.default_rng(4)
+    for size in range(1, 401):
+        for scale in (1e-3, 1.0, 1e3):
+            draws = (rng.random(size), np.round(rng.random(size) * 4.0), 1.0 / rng.random(size))
+            for w in draws:  # uniform, heavily tied, heavy-tailed
+                w = w * scale
+                before = w.copy()
+                assert weights._percentile99(w) == np.percentile(w, 99.0)
+                np.testing.assert_array_equal(w, before)
 
 
 def test_att_treated_weights_fixed():
