@@ -27,7 +27,6 @@ from .scenarios import (
     SimulatedDataset,
     build_scenario,
     crude_estimate,
-    dataset_to_csv,
     generate_dataset,
     grid_scenarios,
     replication_rng,

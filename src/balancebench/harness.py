@@ -8,7 +8,6 @@ with a reason code; a run never aborts on a solver failure.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import sys
@@ -43,7 +42,6 @@ from .weights import (
     kom_weights,
     select_tlf_hyper,
     tlf_weights,
-    weights_to_csv,
 )
 
 CANONICAL_LEARNERS = ("oracle", "logistic_well", "logistic_mis")
@@ -56,7 +54,7 @@ SUMMARY_HEADER = (
 
 WORKERS_ENV_VAR = "BALANCEBENCH_WORKERS"
 
-_ACCEPTED_SOLVER_STATUSES = {"optimal", "closed_form", "degenerate_uniform", "converged"}
+_ACCEPTED_SOLVER_STATUSES = {"optimal", "closed_form", "converged"}
 
 
 def _canonical_subset(requested, canonical, what) -> tuple:
@@ -85,7 +83,6 @@ class RunConfig:
     output_path: str | None = None
     emit_raw: bool = False
     crude: bool = False
-    dump_weights: bool = False
 
     def __post_init__(self):
         scenarios = []
@@ -335,18 +332,6 @@ def run_replication(spec: ScenarioSpec, replication: int, config: RunConfig, tlf
     if config.crude:
         records.append(record("crude", None, "crude", "ATE"))
 
-    if config.dump_weights and config.output_path:
-        dumped = []
-        for method, learner in config.cells():
-            for estimand in config.estimands:
-                key = (method, learner, estimand, config.iptw_postproc)
-                with contextlib.suppress(_Invalid):
-                    dumped.append(once(key, lambda: weigh(*key)))
-        if dumped:
-            wdir = os.path.join(config.output_path, "weights")
-            os.makedirs(wdir, exist_ok=True)
-            weights_to_csv(dumped, os.path.join(wdir, f"{spec.n}_{spec.rarity}_{spec.confounding}_rep{replication:06d}.csv"))
-
     elapsed = time.perf_counter() - start
     for r in records:
         r.wall_time = elapsed
@@ -500,7 +485,6 @@ CONFIG_KEYS = {
     "workers": ConfigKey("workers", "int", f"worker count (default: ${WORKERS_ENV_VAR} or 1)"),
     "emit_raw": ConfigKey("emit_raw", "bool", "also write per-replication records.ndjson"),
     "crude": ConfigKey("crude", "bool", "also record the crude (unweighted) estimator per replication"),
-    "dump_weights": ConfigKey("dump_weights", "bool", "debug: export weight vectors per replication"),
 }
 
 _TRUE = {"1", "true", "yes", "on"}

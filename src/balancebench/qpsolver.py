@@ -29,7 +29,6 @@ import numpy as np
 
 STATUS_OPTIMAL = "optimal"
 STATUS_MAX_ITER = "max_iter"
-STATUS_INFEASIBLE = "infeasible"
 
 _FREE_EPS = 1e-12
 _NEGATIVE = -1e-11  # a KKT coordinate below this leaves the face
@@ -41,6 +40,8 @@ KKT_TOL = 1e-8  # largest fixed-point (KKT) residual a solution is certified at
 @dataclass(frozen=True)
 class QuadraticProgram:
     """min 0.5 w'Qw + c'w  subject to  sum(w[idx]) = target per block and w >= 0.
+
+    Blocks must be nonempty, in range and disjoint; targets finite and >= 0.
 
     `spectrum`, if given, is (mu, U) with Q = U diag(mu) U' and U orthogonal,
     as np.linalg.eigh returns it; see solve_qp for its use."""
@@ -69,8 +70,11 @@ class QuadraticProgram:
                 raise ValueError("equality index out of range")
             if (block_of[idx] >= 0).any():
                 raise ValueError("equality blocks must be disjoint")
+            target = float(target)
+            if not (np.isfinite(target) and target >= 0.0):
+                raise ValueError("equality targets must be finite and nonnegative")
             block_of[idx] = k
-            blocks.append((idx, float(target)))
+            blocks.append((idx, target))
         object.__setattr__(self, "equalities", tuple(blocks))
         object.__setattr__(self, "block_of", block_of)
         if self.spectrum is not None:
@@ -356,10 +360,6 @@ def solve_qp(qp: QuadraticProgram) -> QPSolution:
     certified either, the uniform feasible point is returned with status
     'max_iter'. `iterations` counts the KKT solves of both attempts.
     """
-    for _, target in qp.equalities:
-        if target < 0:
-            return QPSolution(np.zeros(qp.n), float("nan"), float("inf"), 0, STATUS_INFEASIBLE)
-
     # 0.5*(Q + Q') equals a symmetric Q bit for bit; skip the two n x n temporaries
     Q = qp.Q if np.array_equal(qp.Q, qp.Q.T) else 0.5 * (qp.Q + qp.Q.T)
 

@@ -7,7 +7,6 @@ true ATE and ATT are both zero), and the latent truths needed by oracle learners
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,33 +236,11 @@ def replication_rng(spec: ScenarioSpec, replication: int) -> np.random.Generator
 
 def crude_estimate(dataset: SimulatedDataset) -> float:
     """Difference of raw group means (the unadjusted effect estimate)."""
-    return crude_from_arrays(dataset.T, dataset.Y)
-
-
-def crude_from_arrays(T: np.ndarray, Y: np.ndarray) -> float:
-    T = np.asarray(T, dtype=float)
-    Y = np.asarray(Y, dtype=float)
+    T = np.asarray(dataset.T, dtype=float)
+    Y = np.asarray(dataset.Y, dtype=float)
     n1 = T.sum()
     n0 = (1.0 - T).sum()
     if n1 < 1 or n0 < 1:
         raise ValueError("both treatment groups must be nonempty")
     return float((T * Y).sum() / n1 - ((1.0 - T) * Y).sum() / n0)
 
-
-def dataset_to_csv(dataset: SimulatedDataset, path) -> None:
-    """Debug dump with header x1..x10,t,y,y0,y1,e_true,mu_true."""
-    header = [f"x{j + 1}" for j in range(10)] + ["t", "y", "y0", "y1", "e_true", "mu_true"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(dataset.n):
-            row = [repr(float(v)) for v in dataset.X[i]]
-            row += [
-                repr(float(dataset.T[i])),
-                repr(float(dataset.Y[i])),
-                repr(float(dataset.Y0[i])),
-                repr(float(dataset.Y1[i])),
-                repr(float(dataset.e_true[i])),
-                repr(float(dataset.mu_true[i])),
-            ]
-            writer.writerow(row)

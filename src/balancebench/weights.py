@@ -158,51 +158,6 @@ def iptw_weights(
 # Energy balancing
 # ---------------------------------------------------------------------------
 
-def _rows_all_identical(X: np.ndarray) -> bool:
-    return bool(np.all(X == X[0]))
-
-
-def _uniform_weights(T, estimand, method) -> BalanceWeights:
-    treated, control = _validate_groups(T)
-    w = np.empty(T.size)
-    w[treated] = 1.0 / treated.size
-    w[control] = 1.0 / control.size
-    return _finish(w, estimand, method, T, {"solver_status": "degenerate_uniform"})
-
-
-def energy_distance_objective(D: np.ndarray, w: np.ndarray, T: np.ndarray, estimand: str) -> float:
-    """Direct evaluation of the weighted energy-distance objective.
-
-    `w` is on the pre-normalization scale (each group summing to its size).
-    An independent check on the QP expansion, whose objective plus the terms
-    free of w energy_balance reports as its `energy_objective` diagnostic.
-    """
-    T = np.asarray(T, dtype=float)
-    treated = T == 1.0
-    control = ~treated
-    n = T.size
-    n1 = int(treated.sum())
-    n0 = n - n1
-
-    def against_pool(group_mask, size):
-        wg = w[group_mask]
-        dg = D[group_mask]
-        term1 = 2.0 / (size * n) * float(wg @ dg.sum(axis=1))
-        term2 = -1.0 / size**2 * float(wg @ D[np.ix_(group_mask, group_mask)] @ wg)
-        term3 = -1.0 / n**2 * float(D.sum())
-        return term1 + term2 + term3
-
-    def between(w0, w1):
-        term1 = 2.0 / (n0 * n1) * float(w0 @ D[np.ix_(control, treated)] @ w1)
-        term2 = -1.0 / n0**2 * float(w0 @ D[np.ix_(control, control)] @ w0)
-        term3 = -1.0 / n1**2 * float(w1 @ D[np.ix_(treated, treated)] @ w1)
-        return term1 + term2 + term3
-
-    if estimand == "ATE":
-        return against_pool(control, n0) + against_pool(treated, n1) + between(w[control], w[treated])
-    return between(w[control], np.ones(n1))
-
-
 def energy_balance(geometry: Geometry, T: np.ndarray, estimand: str) -> BalanceWeights:
     """Weights minimizing the discrete energy distance between the weighted
     group distributions and their targets, from the sample's distance matrix;
@@ -210,8 +165,6 @@ def energy_balance(geometry: Geometry, T: np.ndarray, estimand: str) -> BalanceW
     _check_estimand(estimand)
     T = np.asarray(T, dtype=float)
     treated, control = _validate_groups(T)
-    if _rows_all_identical(geometry.X):
-        return _uniform_weights(T, estimand, "eb")
     n = T.size
     n1, n0 = treated.size, control.size
     D = geometry.distances()
@@ -246,7 +199,7 @@ def energy_balance(geometry: Geometry, T: np.ndarray, estimand: str) -> BalanceW
         "solver_iterations": sol.iterations,
         "kkt_residual": sol.kkt_residual,
         "diagonal_shift": sol.diagonal_shift,
-        # the QP objective plus the terms free of w: energy_distance_objective at raw
+        # the QP objective plus the terms free of w: the weighted energy distance at raw
         "energy_objective": sol.objective + constant,
     }
     return _finish(w, estimand, "eb", T, extra)
@@ -310,26 +263,21 @@ def _simplex_qp(K, group, lam, c, spectrum):
     return solve_qp(QuadraticProgram(Q, c, ((np.arange(m), 1.0),), spectrum=(2.0 * (mu + lam), U)))
 
 
-def kom_weights(
-    geometry: Geometry, T: np.ndarray, Y: np.ndarray, estimand: str, kernel: KernelSpec | None = None
-) -> BalanceWeights:
+def kom_weights(geometry: Geometry, T: np.ndarray, Y: np.ndarray, estimand: str) -> BalanceWeights:
     """Kernel-optimal-matching weights: minimize the worst-case bias quadratic
     over group simplexes, with per-group ridge chosen by GP marginal likelihood.
 
     The ATE objective is block-diagonal with a separable linear term, so it is
     solved as one simplex QP per group; the weights are certified only when
     every group's QP is. Each group's QP reuses the eigendecomposition its
-    ridge selection took. `geometry` supplies the bandwidth and the Gram
-    matrix, and shares the control group's ridge and eigendecomposition
-    between estimands."""
+    ridge selection took. `geometry` supplies the Gaussian kernel's bandwidth
+    (its median heuristic) and the Gram matrix, and shares the control
+    group's ridge and eigendecomposition between estimands."""
     _check_estimand(estimand)
     T = np.asarray(T, dtype=float)
     Y = np.asarray(Y, dtype=float)
     treated, control = _validate_groups(T)
-    if _rows_all_identical(geometry.X):
-        return _uniform_weights(T, estimand, "kom")
-    if kernel is None:
-        kernel = KernelSpec("gaussian", geometry.median())
+    kernel = KernelSpec("gaussian", geometry.median())
     n = T.size
     n1 = treated.size
     K = geometry.gram(kernel)
@@ -548,8 +496,6 @@ def tlf_weights(geometry: Geometry, T: np.ndarray, estimand: str, hyper: dict) -
     _check_estimand(estimand)
     T = np.asarray(T, dtype=float)
     treated, control = _validate_groups(T)
-    if _rows_all_identical(geometry.X):
-        return _uniform_weights(T, estimand, "tlf")
     lam, gamma = float(hyper["lambda"]), float(hyper["gamma"])
     K = geometry.gram(KernelSpec("laplacian", gamma))
     model = tlf_fit(K, T, estimand, lam)
@@ -564,14 +510,3 @@ def tlf_weights(geometry: Geometry, T: np.ndarray, estimand: str, hyper: dict) -
     }
     return _finish(w, estimand, "tlf", T, extra)
 
-
-def weights_to_csv(weight_sets: list[BalanceWeights], path) -> None:
-    """Debug export with columns index,method,estimand,weight,kept."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "method", "estimand", "weight", "kept"])
-        for bw in weight_sets:
-            for i, (w, k) in enumerate(zip(bw.values, bw.kept_mask)):
-                writer.writerow([i, bw.method, bw.estimand, repr(float(w)), bool(k)])

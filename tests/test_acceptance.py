@@ -198,8 +198,9 @@ def test_criterion_10b_eb_kom_grid_oracles():
     X5 = rng.standard_normal((5, 2))
     T5 = np.array([1.0, 1.0, 0.0, 0.0, 0.0])
     Y5 = (rng.random(5) < 0.4).astype(float)
-    kernel = KernelSpec("gaussian", 1.3)
-    bw5 = bb.kom_weights(bb.Geometry(X5), T5, Y5, "ATT", kernel=kernel)
+    geometry5 = bb.Geometry(X5)
+    bw5 = bb.kom_weights(geometry5, T5, Y5, "ATT")
+    kernel = KernelSpec("gaussian", geometry5.median())
     lam = bw5.diagnostics["ridge_control"]
     K = gram_matrix(kernel, X5)
     ctrl = T5 == 0.0

@@ -149,7 +149,6 @@ NON_DEFAULT_CONFIG = RunConfig(
     output_path="results",
     emit_raw=True,
     crude=True,
-    dump_weights=True,
 )
 
 
@@ -171,7 +170,7 @@ def test_flags_round_trip_every_field():
         "--scenarios", "100:rare:high;150:very_rare:low", "--reps", "7", "--methods", "eb,tlf",
         "--learners", "logistic_mis", "--estimators", "AWA", "--estimands", "ATT",
         "--postproc", "hajek", "--seed", "42", "--workers", "3", "--out", "results",
-        "--emit-raw", "--crude", "--dump-weights",
+        "--emit-raw", "--crude",
     ]
     assert config_from_mapping(_cli_mapping(build_parser().parse_args(flags))) == NON_DEFAULT_CONFIG
 

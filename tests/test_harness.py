@@ -445,15 +445,6 @@ def test_summary_csv_formatting_absent_fields():
     assert cells[7:] == [f"{getattr(s, m):.6g}" for m in metrics]
 
 
-def test_weight_dump_files(tmp_path):
-    config = small_config(output_path=str(tmp_path), dump_weights=True)
-    run_scenario(config, (250, "common", "low"))
-    files = sorted(os.listdir(tmp_path / "weights"))
-    assert len(files) == 2
-    header = open(tmp_path / "weights" / files[0]).readline().strip()
-    assert header == "index,method,estimand,weight,kept"
-
-
 FIXED_TLF_HYPER = {estimand: {"lambda": 1e-2, "gamma": 0.5} for estimand in ("ATE", "ATT")}
 
 

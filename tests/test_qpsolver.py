@@ -58,11 +58,6 @@ def test_matches_brute_force_grid():
     np.testing.assert_allclose(sol.w, w_grid, atol=1e-3)
 
 
-def test_negative_target_is_infeasible():
-    qp = QuadraticProgram(np.eye(2), np.zeros(2), (((0, 1), -1.0),))
-    assert solve_qp(qp).status == "infeasible"
-
-
 def test_validation_errors():
     with pytest.raises(ValueError):
         QuadraticProgram(np.eye(3), np.zeros(2))
@@ -79,7 +74,10 @@ def test_validation_errors():
     (((np.array([0, 3]), 1.0),), "equality index out of range"),
     (((np.array([-1, 0]), 1.0),), "equality index out of range"),
     (((np.array([0, 1]), 1.0), (np.array([2, 1]), 1.0)), "equality blocks must be disjoint"),
-], ids=["empty", "past_end", "negative", "overlap"])
+    (((np.array([0, 1]), -1.0),), "equality targets must be finite and nonnegative"),
+    (((np.array([0, 1, 2]), float("nan")),), "equality targets must be finite and nonnegative"),
+    (((np.array([0, 1, 2]), float("inf")),), "equality targets must be finite and nonnegative"),
+], ids=["empty", "past_end", "negative", "overlap", "negative_target", "nan_target", "inf_target"])
 def test_equality_block_errors(equalities, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         QuadraticProgram(np.eye(3), np.zeros(3), equalities)

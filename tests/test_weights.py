@@ -9,7 +9,6 @@ from balancebench.estimators import weighted_average
 from balancebench.kernels import KernelSpec, distance_matrix, gram_matrix
 from balancebench.weights import (
     effective_sample_size,
-    energy_distance_objective,
     gp_ridge_selection,
     select_tlf_hyper,
     tlf_fit,
@@ -128,13 +127,54 @@ def test_effective_sample_size():
 # Energy balancing
 # ---------------------------------------------------------------------------
 
-def test_energy_identical_rows_gives_uniform():
+@pytest.mark.parametrize("estimand", ["ATE", "ATT"])
+def test_identical_rows(estimand):
+    # EB and TLF reach the uniform weights by their ordinary solves; KOM's
+    # median bandwidth is undefined on a sample with no nonzero distance
     X = np.ones((10, 10))
     T = np.array([1.0] * 3 + [0.0] * 7)
-    bw = bb.energy_balance(bb.Geometry(X), T, "ATE")
-    np.testing.assert_allclose(bw.values[T == 1], 1 / 3)
-    np.testing.assert_allclose(bw.values[T == 0], 1 / 7)
-    assert bw.diagnostics["solver_status"] == "degenerate_uniform"
+    for bw in (
+        bb.energy_balance(bb.Geometry(X), T, estimand),
+        tlf_weights(bb.Geometry(X), T, estimand, {"lambda": 1e-2, "gamma": 0.5}),
+    ):
+        np.testing.assert_allclose(bw.values[T == 1], 1 / 3)
+        np.testing.assert_allclose(bw.values[T == 0], 1 / 7)
+        assert bw.diagnostics["solver_status"] in {"optimal", "converged"}
+    with pytest.raises(ValueError, match="identical"):
+        bb.kom_weights(bb.Geometry(X), T, np.zeros(10), estimand)
+
+
+def energy_distance_objective(D: np.ndarray, w: np.ndarray, T: np.ndarray, estimand: str) -> float:
+    """Direct evaluation of the weighted energy-distance objective.
+
+    `w` is on the pre-normalization scale (each group summing to its size).
+    An independent check on the QP expansion, whose objective plus the terms
+    free of w energy_balance reports as its `energy_objective` diagnostic.
+    """
+    T = np.asarray(T, dtype=float)
+    treated = T == 1.0
+    control = ~treated
+    n = T.size
+    n1 = int(treated.sum())
+    n0 = n - n1
+
+    def against_pool(group_mask, size):
+        wg = w[group_mask]
+        dg = D[group_mask]
+        term1 = 2.0 / (size * n) * float(wg @ dg.sum(axis=1))
+        term2 = -1.0 / size**2 * float(wg @ D[np.ix_(group_mask, group_mask)] @ wg)
+        term3 = -1.0 / n**2 * float(D.sum())
+        return term1 + term2 + term3
+
+    def between(w0, w1):
+        term1 = 2.0 / (n0 * n1) * float(w0 @ D[np.ix_(control, treated)] @ w1)
+        term2 = -1.0 / n0**2 * float(w0 @ D[np.ix_(control, control)] @ w0)
+        term3 = -1.0 / n1**2 * float(w1 @ D[np.ix_(treated, treated)] @ w1)
+        return term1 + term2 + term3
+
+    if estimand == "ATE":
+        return against_pool(control, n0) + against_pool(treated, n1) + between(w[control], w[treated])
+    return between(w[control], np.ones(n1))
 
 
 def test_energy_objective_no_worse_than_uniform():
@@ -242,8 +282,9 @@ def test_kom_att_matches_grid_oracle():
     X = rng.standard_normal((5, 2))
     T = np.array([1.0, 1.0, 0.0, 0.0, 0.0])
     Y = (rng.random(5) < 0.4).astype(float)
-    kernel = KernelSpec("gaussian", 1.3)
-    bw = bb.kom_weights(bb.Geometry(X), T, Y, "ATT", kernel=kernel)
+    geometry = bb.Geometry(X)
+    bw = bb.kom_weights(geometry, T, Y, "ATT")
+    kernel = KernelSpec("gaussian", geometry.median())
     lam = bw.diagnostics["ridge_control"]
     K = gram_matrix(kernel, X)
     control = T == 0.0
@@ -280,14 +321,6 @@ def test_kom_large_ridge_shrinks_to_uniform():
 
     assert max_dev(100.0) < max_dev(1.0)
     assert max_dev(100.0) < 2.0 / n0
-
-
-def test_kom_identical_rows_uniform():
-    X = np.zeros((12, 10))
-    T = np.array([1.0] * 4 + [0.0] * 8)
-    bw = bb.kom_weights(bb.Geometry(X), T, np.zeros(12), "ATE")
-    np.testing.assert_allclose(bw.values[T == 1], 0.25)
-    np.testing.assert_allclose(bw.values[T == 0], 0.125)
 
 
 @pytest.mark.parametrize("rarity", ["common", "rare"])
@@ -614,19 +647,6 @@ def test_tlf_hyper_selection_skips_uncertified_points(monkeypatch, small_tlf_gri
     again = select_tlf_hyper(ds.X, ds.T, ("ATE",))["ATE"]
     assert again != best
     assert again[0] in weights.TLF_LAMBDA_GRID and again[1] in weights.TLF_GAMMA_GRID
-
-
-def test_weights_csv_export(tmp_path):
-    spec = bb.build_scenario("common", "low", 30, 3)
-    ds = bb.generate_dataset(spec, bb.replication_rng(spec, 0))
-    bw = bb.iptw_weights(ds.e_true, ds.T, "ATE", "trim99")
-    path = tmp_path / "w.csv"
-    from balancebench.weights import weights_to_csv
-
-    weights_to_csv([bw], path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "index,method,estimand,weight,kept"
-    assert len(lines) == 31
 
 
 def test_iptw_oracle_unbiased_over_replications():
