@@ -6,7 +6,6 @@ from .estimators import (
     EffectEstimate,
     ResponseSurfaces,
     augmented_weighted_average,
-    sandwich_variance,
     weighted_average,
     weighted_ols,
 )
@@ -16,7 +15,6 @@ from .harness import (
     RunConfig,
     emit_results,
     run,
-    run_scenario,
     summarize,
 )
 from .kernels import Geometry, KernelSpec, distance_matrix, gram_matrix, median_heuristic

@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
 from .errors import BalanceBenchError, ConfigError
 from .harness import (
     CONFIG_KEYS,
-    WORKERS_ENV_VAR,
     config_from_mapping,
     emit_results,
     parse_config_text,
@@ -57,8 +55,6 @@ def cli_main(argv=None) -> int:
             except OSError as exc:
                 raise ConfigError(f"cannot read config file: {exc}") from exc
         mapping.update(_cli_mapping(args))
-        if "workers" not in mapping and os.environ.get(WORKERS_ENV_VAR):
-            mapping["workers"] = os.environ[WORKERS_ENV_VAR]
         if "out" not in mapping or not mapping["out"]:
             raise ConfigError("an output directory is required (--out DIR)")
         config = config_from_mapping(mapping)

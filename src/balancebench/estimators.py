@@ -91,35 +91,23 @@ def augmented_weighted_average(Y, T, weights: BalanceWeights, surfaces: Response
     return _finish(value)
 
 
-def sandwich_variance(Y, T, W) -> float:
-    """HC0 sandwich standard error of the treatment slope of a weighted
-    least-squares fit of Y on [1, T]; weights treated as fixed constants."""
-    Y = np.asarray(Y, dtype=float)
-    T = np.asarray(T, dtype=float)
-    W = np.asarray(W, dtype=float)
-    Z = np.column_stack([np.ones(T.size), T])
-    A = Z.T @ (W[:, None] * Z)
-    try:
-        A_inv = np.linalg.inv(A)
-    except np.linalg.LinAlgError as exc:
-        raise EstimationError("singular weighted design; sandwich variance undefined") from exc
-    beta = A_inv @ (Z.T @ (W * Y))
-    resid = Y - Z @ beta
-    meat = Z.T @ ((W**2 * resid**2)[:, None] * Z)
-    V = A_inv @ meat @ A_inv
-    return float(np.sqrt(max(V[1, 1], 0.0)))
-
-
 def weighted_ols(Y, T, weights: BalanceWeights) -> EffectEstimate:
-    """Treatment coefficient of weighted least squares, with sandwich interval."""
+    """Treatment coefficient of weighted least squares of Y on [1, T], with an
+    HC0 sandwich interval; weights treated as fixed constants.
+
+    With a binary T the slope is m1 - m0, the difference of the two groups'
+    weighted means, and its HC0 variance is the sum over groups g of
+    sum_{i in g} (w_i r_i)^2 / S_g^2, where r_i is row i's residual from its
+    group's mean and S_g is the group's weight total.
+    """
     yk, tk, wk = _kept_arrays(Y, T, weights)
-    sw = wk.sum()
-    if sw <= 0:
-        raise EstimationError("kept weights sum to zero")
-    tbar = float((wk * tk).sum() / sw)
-    ybar = float((wk * yk).sum() / sw)
-    denom = float((wk * (tk - tbar) ** 2).sum())
-    if denom <= 0:
-        raise EstimationError("degenerate treatment spread under these weights")
-    beta = float((wk * (tk - tbar) * (yk - ybar)).sum() / denom)
-    return _finish(beta, sandwich_variance(yk, tk, wk))
+    means, var = [], 0.0
+    for group in (tk == 0.0, tk == 1.0):
+        w, y = wk[group], yk[group]
+        total = w.sum()
+        if total <= 0:
+            raise EstimationError("a treatment group's kept weights sum to zero")
+        mean = (w * y).sum() / total
+        var += ((w * (y - mean)) ** 2).sum() / total**2
+        means.append(mean)
+    return _finish(means[1] - means[0], np.sqrt(var))

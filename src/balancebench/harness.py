@@ -24,7 +24,6 @@ from .kernels import Geometry
 from .scenarios import (
     CONFOUNDING_LEVELS,
     HYPER_STREAM,
-    MIN_SAMPLE_SIZE,
     RARITY_LEVELS,
     ScenarioSpec,
     build_scenario,
@@ -51,8 +50,6 @@ SUMMARY_HEADER = (
     "scenario_n,rarity,confounding,estimator,method,learner,estimand,"
     "valid_pct,bias,mae,spread_rmse,var,rmse_truth,coverage"
 )
-
-WORKERS_ENV_VAR = "BALANCEBENCH_WORKERS"
 
 _ACCEPTED_SOLVER_STATUSES = {"optimal", "closed_form", "converged"}
 
@@ -86,13 +83,9 @@ class RunConfig:
 
     def __post_init__(self):
         scenarios = []
-        for item in self.scenarios:
-            n, rarity, confounding = item
-            if rarity not in RARITY_LEVELS or confounding not in CONFOUNDING_LEVELS:
-                raise ConfigError(f"unknown scenario labels in {item!r}")
-            if int(n) < MIN_SAMPLE_SIZE:
-                raise ConfigError(f"sample size must be >= {MIN_SAMPLE_SIZE}, got {n}")
-            scenarios.append((int(n), rarity, confounding))
+        for n, rarity, confounding in self.scenarios:
+            spec = build_scenario(rarity, confounding, n)
+            scenarios.append((spec.n, rarity, confounding))
         if not scenarios:
             raise ConfigError("at least one scenario must be selected")
         object.__setattr__(self, "scenarios", tuple(scenarios))
@@ -240,7 +233,9 @@ def _surfaces(ds, kind) -> ResponseSurfaces:
 
 
 def run_replication(spec: ScenarioSpec, replication: int, config: RunConfig, tlf_hyper: dict) -> list[ReplicationRecord]:
-    """All records for one replication, in canonical order.
+    """All records for one replication, cell by cell: each (method, learner)
+    of config.cells() in turn, then each estimand and estimator, and the crude
+    record last. `run` sorts each scenario's records into canonical order.
 
     The dataset, the geometry, each learner's propensity scores and response
     surfaces, and each (method, learner, estimand, postproc) weight set are
@@ -353,14 +348,18 @@ def _worker(args):
     return run_replication(spec, replication, config, tlf_hyper)
 
 
-def _run_scenarios(config: RunConfig, scenarios, progress=None) -> list[ReplicationRecord]:
-    """The records of `scenarios`, in order (see run). Every scenario's tasks,
-    TLF selection included, are built here first; with workers > 1 they all go
-    to one process pool, so no worker idles between scenarios, and an error
-    while collecting cancels the work not yet started."""
+def run(config: RunConfig, progress=None) -> list[ReplicationRecord]:
+    """Every configured scenario's records, scenario by scenario in config
+    order, each scenario's in canonical order. Every scenario's tasks, TLF
+    selection included, are built first; with workers > 1 they all go to one
+    process pool, so no worker idles between scenarios, and an error while
+    collecting cancels the work not yet started. `progress(i, scenario,
+    seconds)`, if given, is called once per scenario in order; the seconds are
+    those since the previous call (the first since the start of the run), so
+    they add up to the run's wall time."""
     start = time.perf_counter()
     tasks = []
-    for scenario in scenarios:
+    for scenario in config.scenarios:
         n, rarity, confounding = scenario
         tlf_hyper = tlf_hyperparameters(build_scenario(rarity, confounding, n, config.master_seed), config)
         tasks.append([(scenario, rep, config, tlf_hyper) for rep in range(config.replications)])
@@ -371,7 +370,7 @@ def _run_scenarios(config: RunConfig, scenarios, progress=None) -> list[Replicat
     def collect(batches_by_scenario):
         all_records: list[ReplicationRecord] = []
         last = start
-        for i, (scenario, batches) in enumerate(zip(scenarios, batches_by_scenario)):
+        for i, (scenario, batches) in enumerate(zip(config.scenarios, batches_by_scenario)):
             records = [r for batch in batches for r in batch]
             records.sort(key=_sort_key)
             if len(records) != expected:
@@ -394,19 +393,6 @@ def _run_scenarios(config: RunConfig, scenarios, progress=None) -> list[Replicat
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
-
-
-def run_scenario(config: RunConfig, scenario) -> list[ReplicationRecord]:
-    """All replication records for one (n, rarity, confounding) scenario, in deterministic order."""
-    return _run_scenarios(config, [scenario])
-
-
-def run(config: RunConfig, progress=None) -> list[ReplicationRecord]:
-    """Every configured scenario's records, through one process pool when
-    workers > 1. `progress(i, scenario, seconds)`, if given, is called once per
-    scenario in order; the seconds are those since the previous call (the first
-    since the start of the run), so they add up to the run's wall time."""
-    return _run_scenarios(config, config.scenarios, progress)
 
 
 # ---------------------------------------------------------------------------
@@ -461,19 +447,19 @@ def _coverage(records) -> float | None:
 # ---------------------------------------------------------------------------
 
 class ConfigKey(NamedTuple):
-    field: str | None  # the RunConfig field it sets; None for the scenario-selection keys
-    kind: str  # "int", "str", "list" (comma-separated) or "bool"
+    field: str  # the RunConfig field it sets
+    kind: str  # "int", "str", "list" (comma-separated), "bool" or "scenarios"
     help: str
 
 
 # Every run setting: a `key = value` line of a config file and of manifest.txt,
 # and the CLI flag --key (with '-' for '_'). RunConfig holds the defaults.
 CONFIG_KEYS = {
-    "grid": ConfigKey(None, "bool", "run all 36 benchmark scenarios"),
-    "scenarios": ConfigKey(None, "str", "semicolon-separated n:rarity:confounding triples"),
-    "n": ConfigKey(None, "int", "sample size for a single scenario"),
-    "rarity": ConfigKey(None, "str", f"treatment rarity: {', '.join(RARITY_LEVELS)}"),
-    "confounding": ConfigKey(None, "str", f"confounding strength: {', '.join(CONFOUNDING_LEVELS)}"),
+    "scenarios": ConfigKey(
+        "scenarios", "scenarios",
+        "grid (all 36 benchmark scenarios) or semicolon-separated n:rarity:confounding triples "
+        f"(rarity: {', '.join(RARITY_LEVELS)}; confounding: {', '.join(CONFOUNDING_LEVELS)})",
+    ),
     "reps": ConfigKey("replications", "int", "replications per scenario"),
     "methods": ConfigKey("methods", "list", f"comma-separated subset of {','.join(METHODS)}"),
     "learners": ConfigKey("learners", "list", f"comma-separated subset of {','.join(CANONICAL_LEARNERS)}"),
@@ -482,7 +468,7 @@ CONFIG_KEYS = {
     "postproc": ConfigKey("iptw_postproc", "str", f"IPTW weight post-processing: {', '.join(POSTPROCS)}"),
     "seed": ConfigKey("master_seed", "int", "master seed"),
     "out": ConfigKey("output_path", "str", "output directory (required)"),
-    "workers": ConfigKey("workers", "int", f"worker count (default: ${WORKERS_ENV_VAR} or 1)"),
+    "workers": ConfigKey("workers", "int", "worker process count (default 1)"),
     "emit_raw": ConfigKey("emit_raw", "bool", "also write per-replication records.ndjson"),
     "crude": ConfigKey("crude", "bool", "also record the crude (unweighted) estimator per replication"),
 }
@@ -507,8 +493,12 @@ def parse_config_text(text: str) -> dict:
     return mapping
 
 
+# What `scenarios = grid` selects.
+_GRID = tuple((s.n, s.rarity, s.confounding) for s in grid_scenarios())
+
+
 def _parse_value(key: str, kind: str, text: str):
-    """The value of one setting from its text, whether it came from a file, the CLI or the environment."""
+    """The value of one setting from its text, whether it came from a file or the CLI."""
     if kind == "int":
         try:
             return int(text)
@@ -521,60 +511,47 @@ def _parse_value(key: str, kind: str, text: str):
         return word in _TRUE
     if kind == "list":
         return tuple(x.strip() for x in text.split(",") if x.strip())
-    return text
-
-
-def _select_scenarios(values: dict) -> tuple:
-    """Scenarios from grid = true, from scenarios = n:rarity:confounding;..., or from n, rarity and confounding."""
-    if values.get("grid"):
-        if any(k in values for k in ("n", "rarity", "confounding", "scenarios")):
-            raise ConfigError("grid conflicts with explicit scenario selection")
-        return tuple((s.n, s.rarity, s.confounding) for s in grid_scenarios())
-    if "scenarios" in values:
+    if kind == "scenarios":
+        if text.strip() == "grid":
+            return _GRID
         scenarios = []
-        for part in filter(None, (p.strip() for p in values["scenarios"].split(";"))):
+        for part in filter(None, (p.strip() for p in text.split(";"))):
             bits = part.split(":")
             if len(bits) != 3:
                 raise ConfigError(f"bad scenario triple {part!r}; expected n:rarity:confounding")
-            scenarios.append((_parse_value("scenarios", "int", bits[0]), bits[1], bits[2]))
+            scenarios.append((_parse_value(key, "int", bits[0]), bits[1], bits[2]))
         return tuple(scenarios)
-    missing = [k for k in ("n", "rarity", "confounding") if k not in values]
-    if missing:
-        raise ConfigError(
-            "select scenarios via grid=true, scenarios=..., or all of n/rarity/confounding "
-            f"(missing {', '.join(missing)})"
-        )
-    return ((values["n"], values["rarity"], values["confounding"]),)
+    return text
 
 
 def config_from_mapping(mapping: dict) -> RunConfig:
-    """Build a RunConfig from string key/value pairs (config file or CLI); keys
-    left out keep RunConfig's defaults."""
+    """Build a RunConfig from string key/value pairs (config file or CLI);
+    scenarios is required, and other keys left out keep RunConfig's defaults."""
     unknown = set(mapping) - set(CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown configuration keys: {', '.join(sorted(unknown))}")
-    values = {key: _parse_value(key, CONFIG_KEYS[key].kind, text) for key, text in mapping.items()}
-    fields = {CONFIG_KEYS[key].field: v for key, v in values.items() if CONFIG_KEYS[key].field}
-    return RunConfig(scenarios=_select_scenarios(values), **fields)
+    if "scenarios" not in mapping:
+        raise ConfigError("select scenarios with scenarios = grid or scenarios = n:rarity:confounding;...")
+    return RunConfig(**{
+        CONFIG_KEYS[key].field: _parse_value(key, CONFIG_KEYS[key].kind, text) for key, text in mapping.items()
+    })
 
 
 def _format_value(kind: str, value) -> str:
     if kind == "list":
         return ",".join(value)
+    if kind == "scenarios":
+        return "grid" if value == _GRID else ";".join(f"{n}:{r}:{c}" for n, r, c in value)
     return str(value).lower() if kind == "bool" else str(value)
 
 
 def config_to_text(config: RunConfig) -> str:
     """Config echo in the same key=value format parse_config_text accepts,
     without the output directory."""
-    if config.scenarios == tuple((s.n, s.rarity, s.confounding) for s in grid_scenarios()):
-        lines = ["grid = true"]
-    else:
-        lines = ["scenarios = " + ";".join(f"{n}:{r}:{c}" for n, r, c in config.scenarios)]
-    lines += [
+    lines = [
         f"{key} = {_format_value(entry.kind, getattr(config, entry.field))}"
         for key, entry in CONFIG_KEYS.items()
-        if entry.field not in (None, "output_path")
+        if entry.field != "output_path"
     ]
     return "\n".join(lines) + "\n"
 

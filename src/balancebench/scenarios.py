@@ -84,7 +84,7 @@ class ScenarioSpec:
 def build_scenario(rarity: str, confounding: str, n: int, seed: int = 0) -> ScenarioSpec:
     """Map (rarity, confounding, n) to a fully-populated ScenarioSpec.
 
-    Unknown labels raise ConfigError; n below 20 raises ValueError.
+    Unknown labels and n below MIN_SAMPLE_SIZE raise ConfigError.
     """
     if rarity not in TREATMENT_INTERCEPTS:
         raise ConfigError(f"unknown treatment rarity {rarity!r}; expected one of {RARITY_LEVELS}")
@@ -94,7 +94,7 @@ def build_scenario(rarity: str, confounding: str, n: int, seed: int = 0) -> Scen
         )
     n = int(n)
     if n < MIN_SAMPLE_SIZE:
-        raise ValueError(f"sample size must be >= {MIN_SAMPLE_SIZE}, got {n}")
+        raise ConfigError(f"sample size must be >= {MIN_SAMPLE_SIZE}, got {n}")
     a0, g = OUTCOME_CONSTANTS[confounding]
     return ScenarioSpec(
         n=n,

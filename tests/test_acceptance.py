@@ -9,7 +9,7 @@ import pytest
 
 import balancebench as bb
 from balancebench.estimators import ResponseSurfaces, weighted_average, weighted_ols
-from balancebench.harness import RunConfig, run_scenario, summarize
+from balancebench.harness import RunConfig, summarize
 from balancebench.qpsolver import QuadraticProgram, solve_qp
 from balancebench.weights import tlf_weights
 
@@ -36,6 +36,10 @@ def million_row_cells():
 
 
 def harness_cell(n, rarity, confounding, reps, methods, learners, estimators, estimands):
+    # Serial: records do not depend on the worker count (criterion 10f), and
+    # two pool workers at the default BLAS thread count oversubscribe a small
+    # host (60 EB n=500 replications took 33 s at workers=2 against 2.6 s
+    # serial on 2 cores).
     config = RunConfig(
         scenarios=((n, rarity, confounding),),
         replications=reps,
@@ -44,9 +48,8 @@ def harness_cell(n, rarity, confounding, reps, methods, learners, estimators, es
         estimators=estimators,
         estimands=estimands,
         master_seed=SEED,
-        workers=2,
     )
-    records = run_scenario(config, config.scenarios[0])
+    records = bb.run(config)
     return summarize(records)
 
 
@@ -290,7 +293,7 @@ def test_criterion_10f_determinism_across_workers():
         )
         return [
             (r.replication, r.method, r.estimator, r.value, r.se, r.ci_lo, r.ci_hi, r.valid, r.reason)
-            for r in run_scenario(config, (250, "rare", "low"))
+            for r in bb.run(config)
         ]
 
     ok = run(1) == run(2)

@@ -1,12 +1,8 @@
 import dataclasses
-import os
-
-import pytest
 
 from balancebench.cli import _cli_mapping, build_parser, cli_main
 from balancebench.harness import (
     CONFIG_KEYS,
-    WORKERS_ENV_VAR,
     RunConfig,
     config_from_mapping,
     config_to_text,
@@ -19,14 +15,16 @@ def run_cli(args):
 
 
 def test_missing_out_is_config_error(capsys):
-    code = run_cli(["--n", "250", "--rarity", "common", "--confounding", "low", "--reps", "1"])
+    code = run_cli(["--scenarios", "250:common:low", "--reps", "1"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
 
 
-def test_grid_conflicts_with_single_scenario(capsys):
-    code = run_cli(["--grid", "--n", "250", "--out", "/tmp/x"])
+def test_grid_conflicts_with_single_scenario(tmp_path, capsys):
+    code = run_cli(["--scenarios", "grid;250:common:low", "--out", str(tmp_path / "o")])
     assert code == 2
+    assert "bad scenario triple 'grid'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -35,14 +33,14 @@ def test_unknown_flag_exits_2(capsys):
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("n = 250\nrarity = common\nconfounding = low\nwhatever = 1\n")
+    cfg.write_text("scenarios = 250:common:low\nwhatever = 1\n")
     assert run_cli(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
 def test_single_scenario_run_writes_files(tmp_path, capsys):
     out = tmp_path / "results"
     code = run_cli([
-        "--n", "250", "--rarity", "common", "--confounding", "low",
+        "--scenarios", "250:common:low",
         "--reps", "2", "--methods", "iptw", "--learners", "oracle",
         "--estimators", "WA", "--estimands", "ATE", "--seed", "1",
         "--out", str(out),
@@ -58,7 +56,7 @@ def test_single_scenario_run_writes_files(tmp_path, capsys):
 def test_grid_run_produces_36_cells(tmp_path):
     out = tmp_path / "grid"
     code = run_cli([
-        "--grid", "--reps", "1", "--methods", "iptw", "--learners", "oracle",
+        "--scenarios", "grid", "--reps", "1", "--methods", "iptw", "--learners", "oracle",
         "--estimators", "WA", "--estimands", "ATE", "--seed", "1", "--out", str(out),
     ])
     assert code == 0
@@ -69,7 +67,7 @@ def test_grid_run_produces_36_cells(tmp_path):
 def test_config_file_with_cli_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
-        "n = 250\nrarity = common\nconfounding = low\n"
+        "scenarios = 250:common:low\n"
         "reps = 1\nmethods = iptw\nlearners = oracle\n"
         "estimators = WA\nestimands = ATE\nseed = 4\n"
     )
@@ -80,22 +78,10 @@ def test_config_file_with_cli_override(tmp_path):
     assert len(raw) == 3  # CLI override of reps took effect
 
 
-def test_workers_env_var(tmp_path, monkeypatch):
-    monkeypatch.setenv(WORKERS_ENV_VAR, "2")
-    out = tmp_path / "env"
-    code = run_cli([
-        "--n", "250", "--rarity", "common", "--confounding", "low",
-        "--reps", "2", "--methods", "iptw", "--learners", "oracle",
-        "--estimators", "WA", "--estimands", "ATE", "--out", str(out),
-    ])
-    assert code == 0
-    assert "workers = 2" in (out / "manifest.txt").read_text()
-
-
 def test_crude_debug_mode(tmp_path):
     out = tmp_path / "crude"
     code = run_cli([
-        "--n", "250", "--rarity", "common", "--confounding", "low",
+        "--scenarios", "250:common:low",
         "--reps", "2", "--methods", "iptw", "--learners", "oracle",
         "--estimators", "WA", "--estimands", "ATE", "--crude", "--out", str(out),
     ])
@@ -109,8 +95,8 @@ SMALL = ["--reps", "1", "--methods", "iptw", "--learners", "oracle", "--estimato
 
 
 def test_bad_config_file_values_exit_2(tmp_path, capsys):
-    for body in ("n = abc\nrarity = common\nconfounding = low\n", "scenarios = x:common:low\n",
-                 "n = 250\nrarity = common\nconfounding = low\nworkers = 0\n"):
+    for body in ("scenarios = grid;250:common:low\n", "scenarios = x:common:low\n",
+                 "scenarios = 250:common:low\nworkers = 0\n"):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(body + "reps = 1\nmethods = iptw\nlearners = oracle\nestimators = WA\nestimands = ATE\n")
         assert run_cli(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -119,20 +105,15 @@ def test_bad_config_file_values_exit_2(tmp_path, capsys):
 
 
 def test_bad_flag_values_exit_2(tmp_path, capsys):
-    single = ["--rarity", "common", "--confounding", "low", "--out", str(tmp_path / "o")] + SMALL
-    for flags in (["--n", "10"], ["--n", "abc"], ["--n", "250", "--workers", "0"],
-                  ["--n", "250", "--workers", "-1"], ["--n", "250", "--postproc", "clip"]):
+    single = ["--out", str(tmp_path / "o")] + SMALL
+    for flags in (["--scenarios", "10:common:low"], ["--scenarios", "abc:common:low"],
+                  ["--scenarios", "250:common:low", "--workers", "0"],
+                  ["--scenarios", "250:common:low", "--workers", "-1"],
+                  ["--scenarios", "250:common:low", "--postproc", "clip"]):
         assert run_cli(flags + single) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
     assert not (tmp_path / "o").exists()
-
-
-def test_nonpositive_workers_env_var_exits_2(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv(WORKERS_ENV_VAR, "0")
-    code = run_cli(["--n", "250", "--rarity", "common", "--confounding", "low", "--out", str(tmp_path)] + SMALL)
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error: workers")
 
 
 # every configuration field away from its default
@@ -153,10 +134,9 @@ NON_DEFAULT_CONFIG = RunConfig(
 
 
 def test_non_default_config_sets_every_table_field():
-    defaults = RunConfig(scenarios=NON_DEFAULT_CONFIG.scenarios)
+    defaults = RunConfig(scenarios=((250, "common", "low"),))
     for key, entry in CONFIG_KEYS.items():
-        if entry.field is not None:
-            assert getattr(NON_DEFAULT_CONFIG, entry.field) != getattr(defaults, entry.field), key
+        assert getattr(NON_DEFAULT_CONFIG, entry.field) != getattr(defaults, entry.field), key
 
 
 def test_config_text_round_trips_every_field():

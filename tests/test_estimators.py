@@ -145,7 +145,7 @@ def test_wa_equals_ols_with_group_normalized_weights():
 def test_sandwich_zero_residuals():
     Y = np.array([1.0, 1.0, 0.0, 0.0])
     T = np.array([1.0, 1.0, 0.0, 0.0])
-    se = bb.sandwich_variance(Y, T, np.ones(4))
+    se = bb.weighted_ols(Y, T, make_weights(np.ones(4))).se
     assert se == pytest.approx(0.0, abs=1e-12)
 
 
@@ -155,16 +155,17 @@ def test_sandwich_matches_direct_matrix_oracle():
     T = (rng.random(n) < 0.5).astype(float)
     T[:2] = [1.0, 0.0]
     Y = rng.standard_normal(n)
-    W = np.ones(n)
-    se = bb.sandwich_variance(Y, T, W)
+    for W in (np.ones(n), rng.random(n) + 0.1):
+        est = bb.weighted_ols(Y, T, make_weights(W))
 
-    Z = np.column_stack([np.ones(n), T])
-    beta = np.linalg.solve(Z.T @ Z, Z.T @ Y)
-    r = Y - Z @ beta
-    bread = np.linalg.inv(Z.T @ Z)
-    meat = Z.T @ np.diag(r**2) @ Z
-    V = bread @ meat @ bread
-    assert se == pytest.approx(np.sqrt(V[1, 1]), abs=1e-10)
+        Z = np.column_stack([np.ones(n), T])
+        beta = np.linalg.solve(Z.T @ (W[:, None] * Z), Z.T @ (W * Y))
+        r = Y - Z @ beta
+        bread = np.linalg.inv(Z.T @ (W[:, None] * Z))
+        meat = Z.T @ np.diag(W**2 * r**2) @ Z
+        V = bread @ meat @ bread
+        assert est.value == pytest.approx(beta[1], abs=1e-12)
+        assert est.se == pytest.approx(np.sqrt(V[1, 1]), abs=1e-10)
 
 
 def test_sandwich_coverage_monte_carlo():

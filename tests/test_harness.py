@@ -18,7 +18,6 @@ from balancebench.harness import (
     config_to_text,
     parse_config_text,
     run_replication,
-    run_scenario,
     summary_csv_lines,
 )
 
@@ -49,7 +48,7 @@ def rec(value, estimator="WA", ci=None, reason="", cell=("iptw", "oracle", "ATE"
 
 
 def test_minimal_run_cardinality():
-    records = run_scenario(small_config(), (250, "common", "low"))
+    records = bb.run(small_config())
     assert len(records) == 2
     assert all(r.valid for r in records)
     assert {r.replication for r in records} == {0, 1}
@@ -63,7 +62,7 @@ def test_cell_cardinality_learner_crossing():
         estimators=("WA", "OLS"),
         estimands=("ATE", "ATT"),
     )
-    records = run_scenario(config, (250, "common", "low"))
+    records = bb.run(config)
     # iptw crosses 2 learners, eb carries none: (2 + 1) cells x 2 x 2 x 3 reps
     assert len(records) == 3 * 3 * 2 * 2
     eb_learners = {r.learner for r in records if r.method == "eb"}
@@ -72,11 +71,8 @@ def test_cell_cardinality_learner_crossing():
 
 def test_records_deterministic_across_worker_counts():
     config = small_config(replications=6, methods=("iptw", "eb"), estimators=("WA", "OLS"))
-    serial = run_scenario(config, (250, "common", "low"))
-    parallel = run_scenario(
-        small_config(replications=6, methods=("iptw", "eb"), estimators=("WA", "OLS"), workers=2),
-        (250, "common", "low"),
-    )
+    serial = bb.run(config)
+    parallel = bb.run(small_config(replications=6, methods=("iptw", "eb"), estimators=("WA", "OLS"), workers=2))
 
     def strip(records):
         return [
@@ -96,7 +92,7 @@ def test_failures_are_recorded_not_raised():
         estimators=("WA",),
         estimands=("ATE",),
     )
-    records = run_scenario(config, (250, "very_rare", "high"))
+    records = bb.run(config)
     assert len(records) == 25
     valid = [r for r in records if r.valid]
     assert len(valid) >= 1
@@ -107,7 +103,7 @@ def test_failures_are_recorded_not_raised():
 
 def test_awa_uses_truncated_weights_under_trim99():
     config = small_config(estimators=("AWA",), replications=2)
-    records = run_scenario(config, (250, "common", "low"))
+    records = bb.run(config)
     assert len(records) == 2
     assert all(r.valid for r in records)
 
@@ -183,7 +179,7 @@ def test_emit_results_files(tmp_path):
         replications=2, estimands=("ATE", "ATT"),
         output_path=str(tmp_path), emit_raw=True,
     )
-    records = run_scenario(config, (250, "common", "low"))
+    records = bb.run(config)
     summaries = bb.summarize(records)
     paths = bb.emit_results(summaries, records, config, wall_time=1.0)
 
@@ -202,7 +198,7 @@ def test_emit_results_files(tmp_path):
 
 def test_records_ndjson_rows_are_the_record_fields(tmp_path):
     config = small_config(estimators=("WA", "OLS"), output_path=str(tmp_path), emit_raw=True)
-    records = run_scenario(config, config.scenarios[0])
+    records = bb.run(config)
     records.append(rec(float("nan"), estimator="OLS", reason="solver_max_iter"))
     paths = bb.emit_results(bb.summarize(records), records, config)
     columns = [f.name for f in dataclasses.fields(ReplicationRecord) if f.name != "diagnostics"]
@@ -220,7 +216,7 @@ def test_records_ndjson_rows_are_the_record_fields(tmp_path):
 
 def test_summary_roundtrip_to_printed_precision(tmp_path):
     config = small_config(replications=5, output_path=str(tmp_path))
-    records = run_scenario(config, (250, "common", "low"))
+    records = bb.run(config)
     summaries = bb.summarize(records)
     bb.emit_results(summaries, records, config)
     lines = open(os.path.join(str(tmp_path), "summary.csv")).read().strip().splitlines()
@@ -234,18 +230,18 @@ def test_manifest_replay_reproduces_summary(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
     config = config_from_mapping({
-        "n": "250", "rarity": "common", "confounding": "low",
+        "scenarios": "250:common:low",
         "reps": "4", "methods": "iptw,eb", "learners": "oracle",
         "estimators": "WA,OLS", "estimands": "ATE", "seed": "9",
         "out": str(out1),
     })
-    records = run_scenario(config, config.scenarios[0])
+    records = bb.run(config)
     paths = bb.emit_results(bb.summarize(records), records, config)
 
     mapping = parse_config_text(open(paths["manifest"]).read())
     mapping["out"] = str(out2)
     replay = config_from_mapping(mapping)
-    records2 = run_scenario(replay, replay.scenarios[0])
+    records2 = bb.run(replay)
     bb.emit_results(bb.summarize(records2), records2, replay)
 
     a = open(out1 / "summary.csv").read()
@@ -257,7 +253,7 @@ def test_manifest_records_blas_and_threads_and_round_trips(tmp_path, monkeypatch
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     config = small_config(estimands=("ATE", "ATT"), output_path=str(tmp_path))
-    records = run_scenario(config, config.scenarios[0])
+    records = bb.run(config)
     paths = bb.emit_results(bb.summarize(records), records, config)
     text = open(paths["manifest"]).read()
     comments = text.splitlines()
@@ -273,21 +269,22 @@ def test_config_parsing_errors():
         parse_config_text("reps = 5\nbogus_key = 1\n")
     with pytest.raises(ConfigError):
         parse_config_text("just some text\n")
+    for mapping in ({}, {"reps": "5", "out": "x"}):
+        with pytest.raises(ConfigError, match="scenarios = grid or scenarios = n:rarity:confounding"):
+            config_from_mapping(mapping)
+    with pytest.raises(ConfigError, match="bad scenario triple 'grid'"):
+        config_from_mapping({"scenarios": "grid;250:common:low", "out": "x"})
     with pytest.raises(ConfigError):
-        config_from_mapping({"grid": "true", "n": "250", "out": "x"})
-    with pytest.raises(ConfigError):
-        config_from_mapping({"n": "250", "rarity": "common"})
-    with pytest.raises(ConfigError):
-        config_from_mapping({
-            "n": "250", "rarity": "common", "confounding": "low", "methods": "iptw,magic",
-        })
+        config_from_mapping({"scenarios": "250:common:low", "methods": "iptw,magic"})
     with pytest.raises(ConfigError):
         RunConfig(scenarios=((250, "common", "low"),), replications=0)
 
 
 def test_config_text_roundtrip():
-    config = config_from_mapping({"grid": "true", "reps": "7", "seed": "5"})
+    config = config_from_mapping({"scenarios": "grid", "reps": "7", "seed": "5"})
+    assert config.scenarios == tuple((s.n, s.rarity, s.confounding) for s in bb.grid_scenarios())
     text = config_to_text(config)
+    assert text.splitlines()[0] == "scenarios = grid"
     again = config_from_mapping(parse_config_text(text))
     assert again.scenarios == config.scenarios
     assert again.replications == 7 and again.master_seed == 5
@@ -301,7 +298,7 @@ def test_tlf_through_harness_uses_cached_hyper():
         estimators=("WA",),
         estimands=("ATE",),
     )
-    records = run_scenario(config, (100, "common", "low"))
+    records = bb.run(config)
     assert len(records) == 2
     assert all(r.learner == "-" for r in records)
     assert all(r.valid for r in records)
@@ -325,7 +322,7 @@ def test_generation_failure_invalidates_every_record(monkeypatch):
     monkeypatch.setattr(harness, "generate_dataset", fail)
     monkeypatch.setattr(harness, "tlf_hyperparameters", lambda spec, config: FIXED_TLF_HYPER)
     config = RunConfig(scenarios=((250, "common", "low"),), replications=2, master_seed=3, crude=True)
-    records = run_scenario(config, config.scenarios[0])  # raises unless the count is the expected one
+    records = bb.run(config)  # raises unless the count is the expected one
     # (3 IPTW learners + EB + KOM + TLF) x 2 estimands x 3 estimators, plus crude, per replication
     assert len(records) == 2 * (6 * 2 * 3 + 1)
     assert all(not r.valid and r.reason == "generation_failed: no usable sample" for r in records)
@@ -365,7 +362,7 @@ def test_record_count_mismatch_raises(monkeypatch):
     real = harness.run_replication
     monkeypatch.setattr(harness, "run_replication", lambda *args: real(*args)[:-1])
     with pytest.raises(BalanceBenchError, match="record count"):
-        run_scenario(small_config(), (250, "common", "low"))
+        bb.run(small_config())
     # pool workers are forked, so they run the patched function too
     with pytest.raises(BalanceBenchError, match="record count"):
         bb.run(small_config(scenarios=TWO_SCENARIOS, workers=2))
@@ -388,11 +385,13 @@ def _count_pools(monkeypatch):
     return opened
 
 
-def test_run_opens_one_pool_and_matches_run_scenario(monkeypatch):
+def test_run_opens_one_pool_and_matches_each_scenario_run_alone(monkeypatch):
     scenarios = TWO_SCENARIOS + ((300, "very_rare", "high"),)
     config = small_config(scenarios=scenarios, replications=3, methods=("iptw", "eb"),
                           learners=("oracle", "logistic_mis"), estimators=("WA", "AWA"), crude=True)
-    expected = _all_but_wall_time([r for s in scenarios for r in run_scenario(config, s)])
+    expected = _all_but_wall_time(
+        [r for s in scenarios for r in bb.run(dataclasses.replace(config, scenarios=(s,)))]
+    )
     opened = _count_pools(monkeypatch)
     for workers in (1, 2):
         calls = []
@@ -425,7 +424,7 @@ def test_error_while_collecting_cancels_the_rest_of_the_run(monkeypatch, tmp_pat
 
 def test_crude_mode_adds_records():
     config = small_config(crude=True)
-    records = run_scenario(config, (250, "common", "low"))
+    records = bb.run(config)
     crude = [r for r in records if r.method == "crude"]
     assert len(crude) == 2
     assert all(abs(r.value) <= 1 for r in crude)
@@ -660,11 +659,11 @@ def test_joint_tlf_selection_equals_selection_per_estimand(monkeypatch):
 
 
 def test_bad_values_raise_config_error():
-    base = {"n": "250", "rarity": "common", "confounding": "low"}
-    for key, value in (("reps", "1.5"), ("workers", "-2"), ("crude", "maybe"), ("rarity", "often")):
+    base = {"scenarios": "250:common:low"}
+    for key, value in (("reps", "1.5"), ("workers", "-2"), ("crude", "maybe"), ("scenarios", "250:often:low")):
         with pytest.raises(ConfigError):
             config_from_mapping({**base, key: value})
-    for triple in ("10:common:low", "250:common"):
+    for triple in ("10:common:low", "250:common", ""):
         with pytest.raises(ConfigError):
             config_from_mapping({"scenarios": triple})
     for kw in ({"workers": 0}, {"scenarios": ((19, "common", "low"),)}):

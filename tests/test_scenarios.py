@@ -42,7 +42,7 @@ def test_build_scenario_rejects_bad_labels_and_sizes():
         bb.build_scenario("common", "extreme", 500, 7)
     with pytest.raises(ConfigError):
         bb.build_scenario("sometimes", "low", 500, 7)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         bb.build_scenario("common", "low", 19, 7)
 
 
