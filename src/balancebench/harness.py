@@ -35,7 +35,6 @@ from .scenarios import (
 from .weights import (
     ESTIMANDS,
     METHODS,
-    POSTPROCS,
     energy_balance,
     iptw_weights,
     kom_weights,
@@ -45,6 +44,10 @@ from .weights import (
 
 CANONICAL_LEARNERS = ("oracle", "logistic_well", "logistic_mis")
 CANONICAL_ESTIMATORS = ("WA", "AWA", "OLS")
+
+# IPTW's weight post-processing per estimator: the augmented estimator keeps
+# every observation and truncates extreme weights instead of removing them
+IPTW_POSTPROC = {"WA": "trim99", "AWA": "cap99", "OLS": "trim99"}
 
 SUMMARY_HEADER = (
     "scenario_n,rarity,confounding,estimator,method,learner,estimand,"
@@ -66,7 +69,8 @@ def _canonical_subset(requested, canonical, what) -> tuple:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a run needs; selections are normalized into canonical order."""
+    """Everything a run needs; selections are normalized into canonical order
+    (scenarios by n, rarity and confounding), without duplicates."""
 
     scenarios: tuple
     replications: int = 5000
@@ -74,7 +78,6 @@ class RunConfig:
     learners: tuple = CANONICAL_LEARNERS
     estimators: tuple = CANONICAL_ESTIMATORS
     estimands: tuple = ESTIMANDS
-    iptw_postproc: str = "trim99"
     master_seed: int = 0
     workers: int = 1
     output_path: str | None = None
@@ -82,21 +85,21 @@ class RunConfig:
     crude: bool = False
 
     def __post_init__(self):
-        scenarios = []
+        scenarios = set()
         for n, rarity, confounding in self.scenarios:
             spec = build_scenario(rarity, confounding, n)
-            scenarios.append((spec.n, rarity, confounding))
+            scenarios.add((spec.n, rarity, confounding))
         if not scenarios:
             raise ConfigError("at least one scenario must be selected")
-        object.__setattr__(self, "scenarios", tuple(scenarios))
+        object.__setattr__(self, "scenarios", tuple(sorted(
+            scenarios, key=lambda s: (s[0], RARITY_LEVELS.index(s[1]), CONFOUNDING_LEVELS.index(s[2]))
+        )))
         object.__setattr__(self, "methods", _canonical_subset(self.methods, METHODS, "methods"))
         object.__setattr__(self, "learners", _canonical_subset(self.learners, CANONICAL_LEARNERS, "learners"))
         object.__setattr__(
             self, "estimators", _canonical_subset(self.estimators, CANONICAL_ESTIMATORS, "estimators")
         )
         object.__setattr__(self, "estimands", _canonical_subset(self.estimands, ESTIMANDS, "estimands"))
-        if self.iptw_postproc not in POSTPROCS:
-            raise ConfigError(f"unknown postproc {self.iptw_postproc!r}")
         if int(self.replications) < 1:
             raise ConfigError("replications must be >= 1")
         object.__setattr__(self, "replications", int(self.replications))
@@ -166,26 +169,6 @@ class MetricsSummary:
     coverage: float | None
 
 
-_ESTIMATOR_ORDER = CANONICAL_ESTIMATORS + ("crude",)
-_METHOD_ORDER = METHODS + ("crude",)
-_LEARNER_ORDER = CANONICAL_LEARNERS + ("-",)
-
-
-def _sort_key(r) -> tuple:
-    """Canonical order of records and summaries: scenario, replication, then
-    estimator, method, learner and estimand."""
-    return (
-        r.scenario_n,
-        RARITY_LEVELS.index(r.rarity),
-        CONFOUNDING_LEVELS.index(r.confounding),
-        getattr(r, "replication", 0),
-        _ESTIMATOR_ORDER.index(r.estimator),
-        _METHOD_ORDER.index(r.method),
-        _LEARNER_ORDER.index(r.learner),
-        ESTIMANDS.index(r.estimand),
-    )
-
-
 class _Invalid(Exception):
     """A failure already turned into the reason code of every record that needs its result."""
 
@@ -233,16 +216,17 @@ def _surfaces(ds, kind) -> ResponseSurfaces:
 
 
 def run_replication(spec: ScenarioSpec, replication: int, config: RunConfig, tlf_hyper: dict) -> list[ReplicationRecord]:
-    """All records for one replication, cell by cell: each (method, learner)
-    of config.cells() in turn, then each estimand and estimator, and the crude
-    record last. `run` sorts each scenario's records into canonical order.
+    """All records for one replication, in canonical order: for each estimator,
+    each (method, learner) of config.cells(), then each estimand; the crude
+    record last.
 
     The dataset, the geometry, each learner's propensity scores and response
-    surfaces, and each (method, learner, estimand, postproc) weight set are
-    computed by `once`, on first use. A failure there (including a solver
-    status that is not accepted) is kept as its reason code and invalidates
-    every record that needs that result; a failing estimator invalidates its
-    own record. TLF needs `tlf_hyper` for every configured estimand.
+    surfaces, and each (method, learner, estimand, IPTW post-processing)
+    weight set are computed by `once`, on first use. A failure there
+    (including a solver status that is not accepted) is kept as its reason
+    code and invalidates every record that needs that result; a failing
+    estimator invalidates its own record. TLF needs `tlf_hyper` for every
+    configured estimand.
     """
     start = time.perf_counter()
     if "tlf" in config.methods and (missing := [e for e in config.estimands if e not in tlf_hyper]):
@@ -290,12 +274,7 @@ def run_replication(spec: ScenarioSpec, replication: int, config: RunConfig, tlf
             if method == "crude":
                 est, diag = EffectEstimate(crude_estimate(ds), None, None, True), {}
             else:
-                postproc = config.iptw_postproc
-                if estimator == "AWA" and method == "iptw" and postproc == "trim99":
-                    # the augmented estimator keeps every observation and
-                    # truncates extreme weights instead of removing them
-                    postproc = "cap99"
-                key = (method, learner, estimand, postproc)
+                key = (method, learner, estimand, IPTW_POSTPROC[estimator] if method == "iptw" else None)
                 bw = once(key, lambda: weigh(*key))
                 diag = {"solver_status": bw.diagnostics.get("solver_status")}
                 if estimator == "WA":
@@ -305,7 +284,6 @@ def run_replication(spec: ScenarioSpec, replication: int, config: RunConfig, tlf
                 else:
                     kind = learner if method == "iptw" else config.learners[0]
                     surfaces = once(("surfaces", kind), lambda: _surfaces(ds, kind))
-                    diag["surface_learner"] = kind
                     est = augmented_weighted_average(ds.Y, ds.T, bw, surfaces)
             reason = "" if est.valid else "out_of_range"
         except Exception as exc:  # noqa: BLE001 - failures are data here
@@ -317,13 +295,13 @@ def run_replication(spec: ScenarioSpec, replication: int, config: RunConfig, tlf
         )
 
     records = []
-    for method, learner in config.cells():
-        for estimand in config.estimands:
-            for estimator in config.estimators:
+    for estimator in config.estimators:
+        for method, learner in config.cells():
+            for estimand in config.estimands:
                 records.append(record(method, learner, estimator, estimand))
-        if method != "iptw" and "geometry" in memo:
-            # this method's arrays are no longer read; KOM takes its bandwidth from EB's distances
-            memo["geometry"].release(keep_distances=method == "eb" and "kom" in config.methods)
+            if method != "iptw" and "geometry" in memo:
+                # this method's arrays are no longer read; KOM takes its bandwidth from EB's distances
+                memo["geometry"].release(keep_distances=method == "eb" and "kom" in config.methods)
     if config.crude:
         records.append(record("crude", None, "crude", "ATE"))
 
@@ -343,26 +321,24 @@ def tlf_hyperparameters(spec: ScenarioSpec, config: RunConfig) -> dict:
 
 
 def _worker(args):
-    scenario, replication, config, tlf_hyper = args
-    spec = build_scenario(scenario[1], scenario[2], scenario[0], config.master_seed)
-    return run_replication(spec, replication, config, tlf_hyper)
+    return run_replication(*args)
 
 
 def run(config: RunConfig, progress=None) -> list[ReplicationRecord]:
-    """Every configured scenario's records, scenario by scenario in config
-    order, each scenario's in canonical order. Every scenario's tasks, TLF
-    selection included, are built first; with workers > 1 they all go to one
-    process pool, so no worker idles between scenarios, and an error while
-    collecting cancels the work not yet started. `progress(i, scenario,
-    seconds)`, if given, is called once per scenario in order; the seconds are
-    those since the previous call (the first since the start of the run), so
-    they add up to the run's wall time."""
+    """Every configured scenario's records, in canonical order: scenario by
+    scenario, each replication's as run_replication makes them. Every
+    scenario's tasks, TLF selection included, are built first; with workers > 1
+    they all go to one process pool, so no worker idles between scenarios, and
+    an error while collecting cancels the work not yet started. `progress(i,
+    scenario, seconds)`, if given, is called once per scenario in order; the
+    seconds are those since the previous call (the first since the start of the
+    run), so they add up to the run's wall time."""
     start = time.perf_counter()
     tasks = []
-    for scenario in config.scenarios:
-        n, rarity, confounding = scenario
-        tlf_hyper = tlf_hyperparameters(build_scenario(rarity, confounding, n, config.master_seed), config)
-        tasks.append([(scenario, rep, config, tlf_hyper) for rep in range(config.replications)])
+    for n, rarity, confounding in config.scenarios:
+        spec = build_scenario(rarity, confounding, n, config.master_seed)
+        tlf_hyper = tlf_hyperparameters(spec, config)
+        tasks.append([(spec, rep, config, tlf_hyper) for rep in range(config.replications)])
     expected = config.replications * len(config.cells()) * len(config.estimators) * len(config.estimands)
     if config.crude:
         expected += config.replications
@@ -372,7 +348,6 @@ def run(config: RunConfig, progress=None) -> list[ReplicationRecord]:
         last = start
         for i, (scenario, batches) in enumerate(zip(config.scenarios, batches_by_scenario)):
             records = [r for batch in batches for r in batch]
-            records.sort(key=_sort_key)
             if len(records) != expected:
                 raise BalanceBenchError(f"record count {len(records)} != expected {expected}")
             all_records.extend(records)
@@ -404,7 +379,8 @@ TRUE_EFFECT = 0.0
 
 
 def summarize(records) -> list[MetricsSummary]:
-    """One MetricsSummary per (scenario, estimator, method, learner, estimand) cell.
+    """One MetricsSummary per (scenario, estimator, method, learner, estimand)
+    cell, in the order the cells' first records come.
 
     Estimates outside estimators.ESTIMATE_RANGE (and failed records) are
     excluded from every moment; valid_pct reports the fraction retained.
@@ -431,7 +407,6 @@ def summarize(records) -> list[MetricsSummary]:
         summaries.append(
             MetricsSummary(*key, len(rs), m / len(rs), bias, mae, spread, var, rmse_truth, coverage)
         )
-    summaries.sort(key=_sort_key)
     return summaries
 
 
@@ -465,7 +440,6 @@ CONFIG_KEYS = {
     "learners": ConfigKey("learners", "list", f"comma-separated subset of {','.join(CANONICAL_LEARNERS)}"),
     "estimators": ConfigKey("estimators", "list", f"comma-separated subset of {','.join(CANONICAL_ESTIMATORS)}"),
     "estimands": ConfigKey("estimands", "list", f"comma-separated subset of {','.join(ESTIMANDS)}"),
-    "postproc": ConfigKey("iptw_postproc", "str", f"IPTW weight post-processing: {', '.join(POSTPROCS)}"),
     "seed": ConfigKey("master_seed", "int", "master seed"),
     "out": ConfigKey("output_path", "str", "output directory (required)"),
     "workers": ConfigKey("workers", "int", "worker process count (default 1)"),

@@ -108,8 +108,7 @@ def test_bad_flag_values_exit_2(tmp_path, capsys):
     single = ["--out", str(tmp_path / "o")] + SMALL
     for flags in (["--scenarios", "10:common:low"], ["--scenarios", "abc:common:low"],
                   ["--scenarios", "250:common:low", "--workers", "0"],
-                  ["--scenarios", "250:common:low", "--workers", "-1"],
-                  ["--scenarios", "250:common:low", "--postproc", "clip"]):
+                  ["--scenarios", "250:common:low", "--workers", "-1"]):
         assert run_cli(flags + single) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
@@ -124,7 +123,6 @@ NON_DEFAULT_CONFIG = RunConfig(
     learners=("logistic_mis",),
     estimators=("AWA",),
     estimands=("ATT",),
-    iptw_postproc="hajek",
     master_seed=42,
     workers=3,
     output_path="results",
@@ -149,7 +147,7 @@ def test_flags_round_trip_every_field():
     flags = [
         "--scenarios", "100:rare:high;150:very_rare:low", "--reps", "7", "--methods", "eb,tlf",
         "--learners", "logistic_mis", "--estimators", "AWA", "--estimands", "ATT",
-        "--postproc", "hajek", "--seed", "42", "--workers", "3", "--out", "results",
+        "--seed", "42", "--workers", "3", "--out", "results",
         "--emit-raw", "--crude",
     ]
     assert config_from_mapping(_cli_mapping(build_parser().parse_args(flags))) == NON_DEFAULT_CONFIG

@@ -11,6 +11,8 @@ import balancebench as bb
 from balancebench import harness, kernels, learners, weights
 from balancebench.errors import BalanceBenchError, ConfigError, GenerationError, NumericError
 from balancebench.harness import (
+    CANONICAL_ESTIMATORS,
+    CANONICAL_LEARNERS,
     MetricsSummary,
     ReplicationRecord,
     RunConfig,
@@ -20,6 +22,8 @@ from balancebench.harness import (
     run_replication,
     summary_csv_lines,
 )
+from balancebench.scenarios import CONFOUNDING_LEVELS, RARITY_LEVELS
+from balancebench.weights import ESTIMANDS, METHODS
 
 
 def small_config(**kw):
@@ -290,6 +294,59 @@ def test_config_text_roundtrip():
     assert again.replications == 7 and again.master_seed == 5
 
 
+_ESTIMATOR_ORDER = CANONICAL_ESTIMATORS + ("crude",)
+_METHOD_ORDER = METHODS + ("crude",)
+_LEARNER_ORDER = CANONICAL_LEARNERS + ("-",)
+
+
+def _sort_key(r) -> tuple:
+    """Canonical order of records and summaries: scenario, replication, then
+    estimator, method, learner and estimand."""
+    return (
+        r.scenario_n,
+        RARITY_LEVELS.index(r.rarity),
+        CONFOUNDING_LEVELS.index(r.confounding),
+        getattr(r, "replication", 0),
+        _ESTIMATOR_ORDER.index(r.estimator),
+        _METHOD_ORDER.index(r.method),
+        _LEARNER_ORDER.index(r.learner),
+        ESTIMANDS.index(r.estimand),
+    )
+
+
+def _in_canonical_order(items) -> bool:
+    keys = [_sort_key(item) for item in items]
+    return all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def test_records_summaries_and_manifest_come_in_canonical_order(tmp_path):
+    config = config_from_mapping({
+        "scenarios": "120:rare:high;100:common:low", "reps": "2", "methods": "iptw,eb",
+        "crude": "true", "out": str(tmp_path),
+    })
+    assert config.scenarios == ((100, "common", "low"), (120, "rare", "high"))
+    spec = bb.build_scenario("rare", "high", 120, config.master_seed)
+    alone = run_replication(spec, 1, config, {})
+    assert len(alone) == (3 + 1) * 3 * 2 + 1 and _in_canonical_order(alone)
+
+    records = bb.run(config)
+    summaries = bb.summarize(records)
+    assert len(records) == 2 * 2 * len(alone) and _in_canonical_order(records)
+    assert len(summaries) == 2 * len(alone) and _in_canonical_order(summaries)
+    paths = bb.emit_results(summaries, records, config)
+    assert "scenarios = 100:common:low;120:rare:high" in open(paths["manifest"]).read().splitlines()
+
+
+def test_duplicated_scenario_counts_once():
+    base = {"reps": "2", "methods": "iptw", "learners": "oracle", "estimators": "WA", "estimands": "ATE"}
+    twice = config_from_mapping({**base, "scenarios": "250:common:low;250:common:low"})
+    once = config_from_mapping({**base, "scenarios": "250:common:low"})
+    assert twice.scenarios == once.scenarios == ((250, "common", "low"),)
+    summaries = bb.summarize(bb.run(twice))
+    assert summaries == bb.summarize(bb.run(once))
+    assert [s.count for s in summaries] == [2]
+
+
 def test_tlf_through_harness_uses_cached_hyper():
     config = small_config(
         scenarios=((100, "common", "low"),),
@@ -522,10 +579,15 @@ def test_default_replication_fits_and_weighs_each_piece_once(monkeypatch):
     run_replication(bb.build_scenario("common", "moderate", 250, 5), 0, config, FIXED_TLF_HYPER)
     names = [name for name, _, _ in log]
     # a propensity and two outcome fits per fitted learner; IPTW weighs each
-    # (learner, estimand) under trim99, and under cap99 for AWA
+    # (learner, estimand) under trim99 for WA and OLS, and under cap99 for AWA
     assert {name: names.count(name) for name in set(names)} == {
         "fit_logistic": 6, "iptw_weights": 12, "energy_balance": 2, "kom_weights": 2, "tlf_weights": 2,
     }
+    iptw = [args for name, args, _ in log if name == "iptw_weights"]
+    assert sorted(args[3] for args in iptw) == ["cap99"] * 6 + ["trim99"] * 6
+    # the log keeps each learner's scores alive, so their ids tell the learners apart
+    assert len({id(args[0]) for args in iptw}) == 3
+    assert len({(id(args[0]), args[2], args[3]) for args in iptw}) == 12
 
 
 def test_default_replication_builds_each_design_once(monkeypatch):
