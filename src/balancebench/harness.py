@@ -9,10 +9,12 @@ with a reason code; a run never aborts on a solver failure.
 from __future__ import annotations
 
 import json
+import math
+import operator
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -100,13 +102,15 @@ class RunConfig:
             self, "estimators", _canonical_subset(self.estimators, CANONICAL_ESTIMATORS, "estimators")
         )
         object.__setattr__(self, "estimands", _canonical_subset(self.estimands, ESTIMANDS, "estimands"))
-        if int(self.replications) < 1:
+        for name in ("replications", "master_seed", "workers"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
+        if self.replications < 1:
             raise ConfigError("replications must be >= 1")
-        object.__setattr__(self, "replications", int(self.replications))
-        object.__setattr__(self, "master_seed", int(self.master_seed))
-        if int(self.workers) < 1:
+        if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        object.__setattr__(self, "workers", int(self.workers))
 
     def cells(self) -> list[tuple[str, str | None]]:
         """(method, learner) pairs: IPTW crosses with learners, the rest carry none."""
@@ -119,8 +123,11 @@ class RunConfig:
         return out
 
 
-@dataclass
+@dataclass(slots=True)
 class ReplicationRecord:
+    """One estimate of one cell in one replication. Slotted: a grid run holds
+    every record of the run in one process."""
+
     scenario_n: int
     rarity: str
     confounding: str
@@ -135,8 +142,14 @@ class ReplicationRecord:
     ci_hi: float | None
     valid: bool
     reason: str
-    diagnostics: dict = field(default_factory=dict)
+    solver_status: str | None = None  # of the weight set; None for crude and failed records
     wall_time: float = 0.0
+
+    @property
+    def diagnostics(self) -> dict:
+        """Read-only {"solver_status": s}, or {} without a status; kept because
+        perfbench's checks read the status through it."""
+        return {} if self.solver_status is None else {"solver_status": self.solver_status}
 
     def cell_key(self):
         return (
@@ -272,11 +285,11 @@ def run_replication(spec: ScenarioSpec, replication: int, config: RunConfig, tlf
         try:
             ds = once("data", generate)
             if method == "crude":
-                est, diag = EffectEstimate(crude_estimate(ds), None, None, True), {}
+                est, status = EffectEstimate(crude_estimate(ds), None, None, True), None
             else:
                 key = (method, learner, estimand, IPTW_POSTPROC[estimator] if method == "iptw" else None)
                 bw = once(key, lambda: weigh(*key))
-                diag = {"solver_status": bw.diagnostics.get("solver_status")}
+                status = bw.diagnostics.get("solver_status")
                 if estimator == "WA":
                     est = weighted_average(ds.Y, ds.T, bw)
                 elif estimator == "OLS":
@@ -287,11 +300,11 @@ def run_replication(spec: ScenarioSpec, replication: int, config: RunConfig, tlf
                     est = augmented_weighted_average(ds.Y, ds.T, bw, surfaces)
             reason = "" if est.valid else "out_of_range"
         except Exception as exc:  # noqa: BLE001 - failures are data here
-            est, diag = EffectEstimate(float("nan"), None, None, False), {}
+            est, status = EffectEstimate(float("nan"), None, None, False), None
             reason = _reason_from(exc)
         return ReplicationRecord(
             spec.n, spec.rarity, spec.confounding, replication, method, learner or "-", estimator,
-            estimand, est.value, est.se, *(est.ci95 or (None, None)), est.valid, reason, diag,
+            estimand, est.value, est.se, *(est.ci95 or (None, None)), est.valid, reason, status,
         )
 
     records = []
@@ -543,8 +556,13 @@ def summary_csv_lines(summaries) -> list[str]:
     return [SUMMARY_HEADER] + [",".join(_cell(getattr(s, c)) for c in columns) for s in summaries]
 
 
-# The keys of a records.ndjson row: every ReplicationRecord field but diagnostics.
-RECORD_COLUMNS = tuple(f.name for f in fields(ReplicationRecord) if f.name != "diagnostics")
+# The keys of a records.ndjson row: every ReplicationRecord field.
+RECORD_COLUMNS = tuple(f.name for f in fields(ReplicationRecord))
+
+
+def _json_value(value):
+    """A records.ndjson value: null for a non-finite float, which strict JSON cannot hold."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
@@ -573,7 +591,8 @@ def emit_results(summaries, records, config: RunConfig, wall_time: float = 0.0) 
             paths["records"] = os.path.join(out, "records.ndjson")
             with open(paths["records"], "w") as fh:
                 for r in records:
-                    fh.write(json.dumps({c: getattr(r, c) for c in RECORD_COLUMNS}) + "\n")
+                    row = {c: _json_value(getattr(r, c)) for c in RECORD_COLUMNS}
+                    fh.write(json.dumps(row, allow_nan=False) + "\n")
         paths["manifest"] = os.path.join(out, "manifest.txt")
         with open(paths["manifest"], "w") as fh:
             fh.write("# balancebench run manifest; reusable as --config\n")

@@ -7,6 +7,7 @@ true ATE and ATT are both zero), and the latent truths needed by oracle learners
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,7 +93,10 @@ def build_scenario(rarity: str, confounding: str, n: int, seed: int = 0) -> Scen
         raise ConfigError(
             f"unknown confounding level {confounding!r}; expected one of {CONFOUNDING_LEVELS}"
         )
-    n = int(n)
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ConfigError(f"sample size must be an integer, got {n!r}") from None
     if n < MIN_SAMPLE_SIZE:
         raise ConfigError(f"sample size must be >= {MIN_SAMPLE_SIZE}, got {n}")
     a0, g = OUTCOME_CONSTANTS[confounding]

@@ -2,7 +2,9 @@ import concurrent.futures
 import dataclasses
 import json
 import os
+import pickle
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,21 +203,56 @@ def test_emit_results_files(tmp_path):
 
 
 def test_records_ndjson_rows_are_the_record_fields(tmp_path):
-    config = small_config(estimators=("WA", "OLS"), output_path=str(tmp_path), emit_raw=True)
+    config = small_config(
+        methods=("iptw", "eb"), estimators=("WA", "OLS"), crude=True, output_path=str(tmp_path), emit_raw=True
+    )
     records = bb.run(config)
     records.append(rec(float("nan"), estimator="OLS", reason="solver_max_iter"))
     paths = bb.emit_results(bb.summarize(records), records, config)
-    columns = [f.name for f in dataclasses.fields(ReplicationRecord) if f.name != "diagnostics"]
-    rows = [json.loads(line) for line in open(paths["records"]).read().splitlines()]
-    assert len(rows) == len(records) == 5
+    columns = [f.name for f in dataclasses.fields(ReplicationRecord)]
+
+    def strict(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    rows = [json.loads(line, parse_constant=strict) for line in open(paths["records"]).read().splitlines()]
+    assert len(rows) == len(records) == 2 * (2 * 2 + 1) + 1
     for row, r in zip(rows, records):
         assert list(row) == columns
         for column in columns:
             want = getattr(r, column)
-            if isinstance(want, float) and np.isnan(want):
-                assert np.isnan(row[column])
-            else:
-                assert row[column] == want
+            assert row[column] == (None if isinstance(want, float) and np.isnan(want) else want)
+    assert rows[-1]["value"] is None
+    statuses = {(row["method"], row["solver_status"]) for row in rows[:-1]}
+    assert statuses == {("iptw", "closed_form"), ("eb", "optimal"), ("crude", None)}
+
+
+def test_records_are_slotted_and_carry_their_solver_status(monkeypatch):
+    config = RunConfig(scenarios=((250, "common", "moderate"),), replications=1, master_seed=5, crude=True)
+    spec = bb.build_scenario("common", "moderate", 250, 5)
+    records = run_replication(spec, 0, config, FIXED_TLF_HYPER)
+    assert len(records) == 37 and all(r.valid for r in records)
+    assert not any(hasattr(r, "__dict__") for r in records)
+    for r in records:
+        if r.method == "crude":
+            assert r.solver_status is None and r.diagnostics == {}
+        else:
+            assert r.solver_status is not None and r.diagnostics == {"solver_status": r.solver_status}
+
+    blob = pickle.dumps(records)
+    assert pickle.loads(blob) == records
+    tracemalloc.start()
+    try:
+        loaded = pickle.loads(blob)
+        per_record = tracemalloc.get_traced_memory()[0] / len(loaded)
+    finally:
+        tracemalloc.stop()
+    assert per_record <= 350  # about 470 B with an instance dict and a diagnostics dict per record
+
+    real = weights.tlf_fit
+    monkeypatch.setattr(weights, "tlf_fit", lambda *args: dataclasses.replace(real(*args), converged=False))
+    failed = [r for r in run_replication(spec, 0, config, FIXED_TLF_HYPER) if r.method == "tlf"]
+    assert len(failed) == 6
+    assert all(r.reason == "solver_max_iter" and r.solver_status is None and r.diagnostics == {} for r in failed)
 
 
 def test_summary_roundtrip_to_printed_precision(tmp_path):
@@ -728,6 +765,9 @@ def test_bad_values_raise_config_error():
     for triple in ("10:common:low", "250:common", ""):
         with pytest.raises(ConfigError):
             config_from_mapping({"scenarios": triple})
-    for kw in ({"workers": 0}, {"scenarios": ((19, "common", "low"),)}):
+    for kw in (
+        {"workers": 0}, {"scenarios": ((19, "common", "low"),)}, {"scenarios": ((250.5, "common", "low"),)},
+        {"replications": 2.5}, {"workers": 1.5}, {"master_seed": 0.5},
+    ):
         with pytest.raises(ConfigError):
             small_config(**kw)
