@@ -1,5 +1,6 @@
-"""Deterministic solver for convex quadratic programs with nonnegativity and
-group-sum equality constraints.
+"""Deterministic solver for convex quadratic programs over a product of
+scaled simplexes: blocks that partition the coordinates, each with
+nonnegative coordinates summing to a positive total.
 
 A solve runs block active-set pivoting (Judice & Pires 1994) from the
 all-free face: solve the face's KKT system, drop every negative coordinate,
@@ -39,16 +40,17 @@ KKT_TOL = 1e-8  # largest fixed-point (KKT) residual a solution is certified at
 
 @dataclass(frozen=True)
 class QuadraticProgram:
-    """min 0.5 w'Qw + c'w  subject to  sum(w[idx]) = target per block and w >= 0.
+    """min 0.5 w'Qw + c'w  subject to  sum(w[idx]) = total per block and w >= 0.
 
-    Blocks must be nonempty, in range and disjoint; targets finite and >= 0.
+    The blocks must be nonempty and partition range(n), every coordinate in
+    exactly one of them, and every total must be finite and > 0.
 
     `spectrum`, if given, is (mu, U) with Q = U diag(mu) U' and U orthogonal,
     as np.linalg.eigh returns it; see solve_qp for its use."""
 
     Q: np.ndarray
     c: np.ndarray
-    equalities: tuple[tuple[np.ndarray, float], ...] = ()
+    equalities: tuple[tuple[np.ndarray, float], ...]
     spectrum: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
     block_of: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -59,23 +61,16 @@ class QuadraticProgram:
             raise ValueError("Q must be square and match c")
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "c", c)
-        # index arrays and the block of each coordinate (-1 if in none)
-        block_of = np.full(c.size, -1, dtype=np.intp)
-        blocks = []
-        for k, (idx, target) in enumerate(self.equalities):
-            idx = np.asarray(idx, dtype=np.intp)
-            if idx.size == 0:
-                raise ValueError("equality blocks must be nonempty")
-            if idx.min() < 0 or idx.max() >= c.size:
-                raise ValueError("equality index out of range")
-            if (block_of[idx] >= 0).any():
-                raise ValueError("equality blocks must be disjoint")
-            target = float(target)
-            if not (np.isfinite(target) and target >= 0.0):
-                raise ValueError("equality targets must be finite and nonnegative")
-            block_of[idx] = k
-            blocks.append((idx, target))
-        object.__setattr__(self, "equalities", tuple(blocks))
+        # index arrays and the block of each coordinate
+        blocks = tuple((np.asarray(idx, dtype=np.intp), float(total)) for idx, total in self.equalities)
+        sizes = [idx.size for idx, _ in blocks]
+        members = np.concatenate([idx for idx, _ in blocks] or [np.empty(0, dtype=np.intp)])
+        if not (all(sizes) and np.array_equal(np.sort(members), np.arange(c.size))
+                and all(0.0 < total < np.inf for _, total in blocks)):
+            raise ValueError("equality blocks must partition the coordinates with finite positive totals")
+        block_of = np.empty(c.size, dtype=np.intp)
+        block_of[members] = np.repeat(np.arange(len(blocks)), sizes)
+        object.__setattr__(self, "equalities", blocks)
         object.__setattr__(self, "block_of", block_of)
         if self.spectrum is not None:
             mu, U = (np.asarray(a, dtype=float) for a in self.spectrum)
@@ -99,12 +94,8 @@ class QPSolution:
 
 
 def project_simplex(v: np.ndarray, total: float) -> np.ndarray:
-    """Euclidean projection onto {w >= 0, sum(w) = total}."""
+    """Euclidean projection onto {w >= 0, sum(w) = total}, for total > 0."""
     v = np.asarray(v, dtype=float)
-    if total < 0:
-        raise ValueError("cannot project onto a simplex with negative total")
-    if total == 0.0:
-        return np.zeros_like(v)
     u = np.sort(v)[::-1]
     css = np.cumsum(u) - total
     ks = np.arange(1, v.size + 1)
@@ -114,9 +105,9 @@ def project_simplex(v: np.ndarray, total: float) -> np.ndarray:
 
 
 def _project_feasible(v: np.ndarray, qp: QuadraticProgram) -> np.ndarray:
-    w = np.maximum(v, 0.0)
-    for idx, target in qp.equalities:
-        w[idx] = project_simplex(v[idx], target)
+    w = np.empty(qp.n)
+    for idx, total in qp.equalities:
+        w[idx] = project_simplex(v[idx], total)
     return w
 
 
@@ -156,23 +147,18 @@ def _certified_spectrum(qp: QuadraticProgram):
 def _kkt_solve(free, Qs, c, qp, spectrum=None):
     """Equality-constrained solve on the free coordinates; returns the candidate
     full vector and the per-block multipliers (None when the system is
-    singular or a block with a positive target has no free coordinate).
+    singular or a block has no free coordinate).
 
     With a certified `spectrum` (see _certified_spectrum) the solve goes
     through Q's eigendecomposition while that costs fewer flops than a dense
     factorization of the face (see _spectral_kkt_solve)."""
-    free_block = qp.block_of[free]
-    ks, targets = [], []
-    for k, (_, target) in enumerate(qp.equalities):
-        if (free_block == k).any():
-            ks.append(k)
-            targets.append(target)
-        elif target > _FREE_EPS:
-            return None, None
+    f, m = free.size, len(qp.equalities)
+    on_block = qp.block_of[free] == np.arange(m)[:, None]
+    if not on_block.any(axis=1).all():
+        return None, None
     # the block-sum rows over the free coordinates
-    E = (free_block == np.asarray(ks, dtype=np.intp)[:, None]).astype(float)
-    targets = np.asarray(targets, dtype=float)
-    f, m = free.size, len(ks)
+    E = on_block.astype(float)
+    targets = np.array([total for _, total in qp.equalities])
     sol = None
     # 2 n^2 |dropped| flops of products against about f^3 for the LU of the face
     if spectrum is not None and 2 * qp.n**2 * (qp.n - f) < f**3:
@@ -195,9 +181,7 @@ def _kkt_solve(free, Qs, c, qp, spectrum=None):
         return None, None
     cand = np.zeros(qp.n)
     cand[free] = sol[:f]
-    lams = np.zeros(len(qp.equalities))
-    lams[ks] = -sol[f:]
-    return cand, lams
+    return cand, -sol[f:]
 
 
 def _spectral_kkt_solve(free, spectrum, c, E, targets):
@@ -229,13 +213,6 @@ def _spectral_kkt_solve(free, spectrum, c, E, targets):
     return np.concatenate([a - B @ s, s])
 
 
-def _reduced_gradient(g, lams, qp):
-    reduced = g.copy()
-    covered = qp.block_of >= 0
-    reduced[covered] -= lams[qp.block_of[covered]]
-    return reduced
-
-
 def _natural_residual(w, g, qp) -> float:
     # Unit-step fixed-point residual; zero exactly at KKT points.
     return float(np.max(np.abs(w - _project_feasible(w - g, qp))))
@@ -251,8 +228,6 @@ def _reduced_hessian(Q, free, qp) -> np.ndarray:
     keep = np.ones(free.size, dtype=bool)
     for k in range(len(qp.equalities)):
         members = np.nonzero(free_block == k)[0]
-        if members.size == 0:
-            continue
         last, rest = members[-1], members[:-1]
         M[:, rest] -= M[:, [last]]
         M[rest, :] -= M[[last], :]
@@ -285,7 +260,7 @@ def _block_pivot(free, cand, lams, Q, qp):
     if negative.any():
         return free[~negative], int(negative.sum())
     w = _project_feasible(cand, qp)
-    reduced = _reduced_gradient(Q @ w + qp.c, lams, qp)
+    reduced = Q @ w + qp.c - lams[qp.block_of]
     zeroed = np.nonzero(w <= _FREE_EPS)[0]
     release = zeroed[reduced[zeroed] < _RELEASE]
     if release.size == 0:
@@ -300,7 +275,7 @@ def _single_pivot(free, cand, lams, Q, qp):
     Returns the next face, or None when there is no such coordinate."""
     on_face = np.zeros(qp.n, dtype=bool)
     on_face[free] = True
-    reduced = _reduced_gradient(Q @ cand + qp.c, lams, qp)
+    reduced = Q @ cand + qp.c - lams[qp.block_of]
     infeasible = np.flatnonzero(np.where(on_face, cand < _NEGATIVE, reduced < _RELEASE))
     if infeasible.size == 0:
         return None

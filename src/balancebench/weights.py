@@ -327,17 +327,6 @@ class TlfModel:
     grad_norm: float
 
 
-def tlf_score(q, t, estimand: str):
-    """Scoring rule tailored to the estimand, evaluated elementwise."""
-    _check_estimand(estimand)
-    q = np.asarray(q, dtype=float)
-    t = np.asarray(t, dtype=float)
-    logodds = np.log(q) - np.log1p(-q)
-    if estimand == "ATE":
-        return (2.0 * t - 1.0) * logodds - t / q - (1.0 - t) / (1.0 - q)
-    return -(1.0 - t) * logodds - t / q
-
-
 def _tlf_propensity(eta):
     """The model's propensity at linear predictor eta, kept inside [1e-12, 1 - 1e-12]."""
     return np.clip(expit(eta), 1e-12, 1.0 - 1e-12)
@@ -446,7 +435,8 @@ def tlf_fit(K: np.ndarray, T: np.ndarray, estimand: str, lam: float) -> TlfModel
 
 def select_tlf_hyper(X: np.ndarray, T: np.ndarray, estimands) -> dict:
     """(lambda, gamma) for each estimand from TLF_LAMBDA_GRID x TLF_GAMMA_GRID,
-    picked by TLF_FOLDS-fold cross-validated mean tailored score. Each gamma's
+    picked by TLF_FOLDS-fold cross-validated mean tailored score, the s of
+    _tlf_terms that tlf_fit maximizes, at the held-out rows. Each gamma's
     Gram matrix is built once, and each fold's train and test blocks of it are
     copied once, for all (estimand, lambda)."""
     lambdas, gammas, folds = TLF_LAMBDA_GRID, TLF_GAMMA_GRID, TLF_FOLDS
@@ -476,8 +466,8 @@ def select_tlf_hyper(X: np.ndarray, T: np.ndarray, estimands) -> dict:
                 if not model.converged:
                     fold_scores[estimand, lam] = None
                     continue
-                p = _tlf_propensity(model.intercept + K_te @ model.alpha)
-                fold_scores[estimand, lam].append(float(tlf_score(p, T[test], estimand).mean()))
+                s = _tlf_terms(model.intercept + K_te @ model.alpha, T[test], estimand)[0]
+                fold_scores[estimand, lam].append(float(s.mean()))
         for (estimand, lam), scores in fold_scores.items():
             if not scores:
                 continue

@@ -26,9 +26,6 @@ def brute_force_simplex(Q, c, total=1.0, step=1e-3):
 def test_project_simplex_basics():
     np.testing.assert_allclose(project_simplex(np.array([0.2, 0.3, 0.5]), 1.0), [0.2, 0.3, 0.5])
     np.testing.assert_allclose(project_simplex(np.array([-1.0, -2.0]), 1.0), [1.0, 0.0])
-    assert project_simplex(np.array([3.0, 4.0]), 0.0).sum() == 0.0
-    with pytest.raises(ValueError):
-        project_simplex(np.array([1.0]), -0.5)
 
 
 def test_feasible_point_is_returned_unchanged():
@@ -60,7 +57,7 @@ def test_matches_brute_force_grid():
 
 def test_validation_errors():
     with pytest.raises(ValueError):
-        QuadraticProgram(np.eye(3), np.zeros(2))
+        QuadraticProgram(np.eye(3), np.zeros(2), (((0, 1), 1.0),))
     with pytest.raises(ValueError):
         QuadraticProgram(np.eye(2), np.zeros(2), (((), 1.0),))
     with pytest.raises(ValueError):
@@ -69,35 +66,38 @@ def test_validation_errors():
         QuadraticProgram(np.eye(2), np.zeros(2), (((0, 5), 1.0),))
 
 
-@pytest.mark.parametrize("equalities,message", [
-    (((np.array([], dtype=int), 1.0),), "equality blocks must be nonempty"),
-    (((np.array([0, 3]), 1.0),), "equality index out of range"),
-    (((np.array([-1, 0]), 1.0),), "equality index out of range"),
-    (((np.array([0, 1]), 1.0), (np.array([2, 1]), 1.0)), "equality blocks must be disjoint"),
-    (((np.array([0, 1]), -1.0),), "equality targets must be finite and nonnegative"),
-    (((np.array([0, 1, 2]), float("nan")),), "equality targets must be finite and nonnegative"),
-    (((np.array([0, 1, 2]), float("inf")),), "equality targets must be finite and nonnegative"),
-], ids=["empty", "past_end", "negative", "overlap", "negative_target", "nan_target", "inf_target"])
-def test_equality_block_errors(equalities, message):
+@pytest.mark.parametrize("equalities", [
+    ((np.array([], dtype=int), 1.0), (np.array([0, 1, 2]), 1.0)),
+    ((np.array([0, 0, 1]), 1.0),),
+    ((np.array([0, 1]), 1.0),),
+    ((np.array([0, 1]), 1.0), (np.array([2, 1]), 1.0)),
+    ((np.array([0, 1, 3]), 1.0),),
+    ((np.array([-1, 0, 1]), 1.0),),
+    ((np.array([0, 1, 2]), 0.0),),
+    ((np.array([0, 1]), 1.0), (np.array([2]), -1.0)),
+    ((np.array([0, 1, 2]), float("nan")),),
+    ((np.array([0, 1, 2]), float("inf")),),
+], ids=["empty", "duplicate", "gap", "overlap", "past_end", "negative", "zero_target", "negative_target",
+        "nan_target", "inf_target"])
+def test_equality_block_errors(equalities):
+    message = "equality blocks must partition the coordinates with finite positive totals"
     with pytest.raises(ValueError, match=f"^{message}$"):
         QuadraticProgram(np.eye(3), np.zeros(3), equalities)
 
 
 def test_equality_blocks_become_index_arrays():
-    qp = QuadraticProgram(np.eye(4), np.zeros(4), (((2, 0), 1), (np.array([3]), 2.0)))
-    assert [(idx.tolist(), target) for idx, target in qp.equalities] == [([2, 0], 1.0), ([3], 2.0)]
+    qp = QuadraticProgram(np.eye(3), np.zeros(3), (((2, 0), 1), (np.array([1]), 2.0)))
+    assert [(idx.tolist(), target) for idx, target in qp.equalities] == [([2, 0], 1.0), ([1], 2.0)]
     assert all(idx.dtype == np.intp for idx, _ in qp.equalities)
-    assert qp.block_of.tolist() == [0, -1, 0, 1]
+    assert qp.block_of.tolist() == [0, 1, 0]
 
 
-def _random_problem(rng, with_blocks=True):
+def _random_problem(rng):
     n = int(rng.integers(4, 12))
     A = rng.standard_normal((n, n))
     Q = A @ A.T + 0.05 * np.eye(n)
     c = rng.standard_normal(n) * 2
     k = int(rng.integers(1, 3))
-    if not with_blocks:
-        return QuadraticProgram(Q, c)
     if k == 1 or n < 6:
         eqs = ((tuple(range(n)), float(rng.uniform(0.5, 3.0))),)
     else:
@@ -188,18 +188,6 @@ def test_subspace_indefinite_gets_diagonal_shift():
     # the all-free face is a saddle, so only the shifted retry certifies a point
     assert sol.diagonal_shift > 0
     assert sol.status == "optimal"
-
-
-def test_unconstrained_coordinates_clip_at_zero():
-    # one covered block plus two free coordinates pushed against the bound
-    Q = np.eye(4)
-    c = np.array([0.0, 0.0, 1.0, -0.5])
-    qp = QuadraticProgram(Q, c, (((0, 1), 1.0),))
-    sol = solve_qp(qp)
-    assert sol.status == "optimal"
-    np.testing.assert_allclose(sol.w[:2], [0.5, 0.5], atol=1e-8)
-    assert sol.w[2] == pytest.approx(0.0, abs=1e-9)   # gradient positive at 0
-    assert sol.w[3] == pytest.approx(0.5, abs=1e-8)  # interior optimum at -c/Q
 
 
 def _assert_pivot_certifies(qp):
@@ -394,4 +382,4 @@ def test_retry_on_a_positive_definite_qp_is_not_shifted(monkeypatch):
 
 def test_spectrum_shape_is_checked():
     with pytest.raises(ValueError, match="spectrum"):
-        QuadraticProgram(np.eye(3), np.zeros(3), spectrum=(np.ones(2), np.eye(3)))
+        QuadraticProgram(np.eye(3), np.zeros(3), ((np.arange(3), 1.0),), spectrum=(np.ones(2), np.eye(3)))

@@ -12,7 +12,6 @@ from balancebench.weights import (
     gp_ridge_selection,
     select_tlf_hyper,
     tlf_fit,
-    tlf_score,
     tlf_weights,
 )
 
@@ -458,10 +457,13 @@ def small_tlf_grid(monkeypatch):
     monkeypatch.setattr(weights, "TLF_FOLDS", 3)
 
 def test_tlf_score_values():
-    assert tlf_score(0.5, 1.0, "ATE") == pytest.approx(-2.0)
-    assert tlf_score(0.5, 0.0, "ATT") == pytest.approx(0.0)
-    assert tlf_score(0.5, 0.0, "ATE") == pytest.approx(-2.0)
-    assert tlf_score(0.25, 1.0, "ATT") == pytest.approx(-4.0)
+    def score(q, t, estimand):  # the tailored score at the propensity q
+        return weights._tlf_terms(np.log(q / (1.0 - q)), t, estimand)[0]
+
+    assert score(0.5, 1.0, "ATE") == pytest.approx(-2.0)
+    assert score(0.5, 0.0, "ATT") == pytest.approx(0.0)
+    assert score(0.5, 0.0, "ATE") == pytest.approx(-2.0)
+    assert score(0.25, 1.0, "ATT") == pytest.approx(-4.0)
 
 
 def test_tlf_gradient_matches_finite_differences():
