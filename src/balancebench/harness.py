@@ -87,9 +87,22 @@ class RunConfig:
     crude: bool = False
 
     def __post_init__(self):
+        for name in ("replications", "master_seed", "workers"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
+        if self.replications < 1:
+            raise ConfigError("replications must be >= 1")
+        if self.workers < 1:
+            raise ConfigError("workers must be >= 1")
         scenarios = set()
-        for n, rarity, confounding in self.scenarios:
-            spec = build_scenario(rarity, confounding, n)
+        for entry in (self.scenarios,) if isinstance(self.scenarios, str) else self.scenarios:
+            try:
+                n, rarity, confounding = entry
+            except (TypeError, ValueError):
+                raise ConfigError(f"scenario {entry!r} is not an (n, rarity, confounding) triple") from None
+            spec = build_scenario(rarity, confounding, n, self.master_seed)  # also rejects a negative seed
             scenarios.add((spec.n, rarity, confounding))
         if not scenarios:
             raise ConfigError("at least one scenario must be selected")
@@ -102,15 +115,6 @@ class RunConfig:
             self, "estimators", _canonical_subset(self.estimators, CANONICAL_ESTIMATORS, "estimators")
         )
         object.__setattr__(self, "estimands", _canonical_subset(self.estimands, ESTIMANDS, "estimands"))
-        for name in ("replications", "master_seed", "workers"):
-            try:
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
-            except TypeError:
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
-        if self.replications < 1:
-            raise ConfigError("replications must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
 
     def cells(self) -> list[tuple[str, str | None]]:
         """(method, learner) pairs: IPTW crosses with learners, the rest carry none."""
@@ -329,8 +333,7 @@ def tlf_hyperparameters(spec: ScenarioSpec, config: RunConfig) -> dict:
     if "tlf" not in config.methods:
         return {}
     ds = generate_dataset(spec, replication_rng(spec, HYPER_STREAM))
-    selected = select_tlf_hyper(ds.X, ds.T, config.estimands)
-    return {estimand: {"lambda": lam, "gamma": gamma} for estimand, (lam, gamma) in selected.items()}
+    return select_tlf_hyper(ds.X, ds.T, config.estimands)
 
 
 def _worker(args):

@@ -85,7 +85,7 @@ class ScenarioSpec:
 def build_scenario(rarity: str, confounding: str, n: int, seed: int = 0) -> ScenarioSpec:
     """Map (rarity, confounding, n) to a fully-populated ScenarioSpec.
 
-    Unknown labels and n below MIN_SAMPLE_SIZE raise ConfigError.
+    Unknown labels, n below MIN_SAMPLE_SIZE and a negative seed raise ConfigError.
     """
     if rarity not in TREATMENT_INTERCEPTS:
         raise ConfigError(f"unknown treatment rarity {rarity!r}; expected one of {RARITY_LEVELS}")
@@ -99,6 +99,8 @@ def build_scenario(rarity: str, confounding: str, n: int, seed: int = 0) -> Scen
         raise ConfigError(f"sample size must be an integer, got {n!r}") from None
     if n < MIN_SAMPLE_SIZE:
         raise ConfigError(f"sample size must be >= {MIN_SAMPLE_SIZE}, got {n}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     a0, g = OUTCOME_CONSTANTS[confounding]
     return ScenarioSpec(
         n=n,

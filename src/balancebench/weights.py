@@ -434,18 +434,18 @@ def tlf_fit(K: np.ndarray, T: np.ndarray, estimand: str, lam: float) -> TlfModel
 
 
 def select_tlf_hyper(X: np.ndarray, T: np.ndarray, estimands) -> dict:
-    """(lambda, gamma) for each estimand from TLF_LAMBDA_GRID x TLF_GAMMA_GRID,
-    picked by TLF_FOLDS-fold cross-validated mean tailored score, the s of
-    _tlf_terms that tlf_fit maximizes, at the held-out rows. Each gamma's
-    Gram matrix is built once, and each fold's train and test blocks of it are
-    copied once, for all (estimand, lambda)."""
+    """{estimand: {"lambda": ..., "gamma": ...}}, as tlf_weights reads it: each
+    estimand's point of TLF_LAMBDA_GRID x TLF_GAMMA_GRID with the best TLF_FOLDS-fold
+    cross-validated mean tailored score (the s of _tlf_terms that tlf_fit maximizes)
+    at the held-out rows. Each gamma's Gram matrix is built once, and each fold's
+    train and test blocks of it are copied once, for all (estimand, lambda)."""
     lambdas, gammas, folds = TLF_LAMBDA_GRID, TLF_GAMMA_GRID, TLF_FOLDS
     X = np.atleast_2d(np.asarray(X, dtype=float))
     T = np.asarray(T, dtype=float)
     n = T.size
     fold_id = np.arange(n) % folds
     points = list(itertools.product(estimands, lambdas))
-    best = {estimand: (float(lambdas[0]), float(gammas[0])) for estimand in estimands}
+    best = {estimand: {"lambda": float(lambdas[0]), "gamma": float(gammas[0])} for estimand in estimands}
     best_score = dict.fromkeys(estimands, -np.inf)
     for gamma in gammas:
         K = gram_matrix(KernelSpec("laplacian", gamma), X)
@@ -474,7 +474,7 @@ def select_tlf_hyper(X: np.ndarray, T: np.ndarray, estimands) -> dict:
             score = float(np.mean(scores))
             if score > best_score[estimand]:
                 best_score[estimand] = score
-                best[estimand] = (float(lam), float(gamma))
+                best[estimand] = {"lambda": float(lam), "gamma": float(gamma)}
     return best
 
 

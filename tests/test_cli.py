@@ -108,7 +108,8 @@ def test_bad_flag_values_exit_2(tmp_path, capsys):
     single = ["--out", str(tmp_path / "o")] + SMALL
     for flags in (["--scenarios", "10:common:low"], ["--scenarios", "abc:common:low"],
                   ["--scenarios", "250:common:low", "--workers", "0"],
-                  ["--scenarios", "250:common:low", "--workers", "-1"]):
+                  ["--scenarios", "250:common:low", "--workers", "-1"],
+                  ["--scenarios", "250:common:low", "--seed=-1"]):
         assert run_cli(flags + single) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1

@@ -759,7 +759,9 @@ def test_joint_tlf_selection_equals_selection_per_estimand(monkeypatch):
 
 def test_bad_values_raise_config_error():
     base = {"scenarios": "250:common:low"}
-    for key, value in (("reps", "1.5"), ("workers", "-2"), ("crude", "maybe"), ("scenarios", "250:often:low")):
+    for key, value in (
+        ("reps", "1.5"), ("workers", "-2"), ("crude", "maybe"), ("scenarios", "250:often:low"), ("seed", "-1"),
+    ):
         with pytest.raises(ConfigError):
             config_from_mapping({**base, key: value})
     for triple in ("10:common:low", "250:common", ""):
@@ -767,7 +769,8 @@ def test_bad_values_raise_config_error():
             config_from_mapping({"scenarios": triple})
     for kw in (
         {"workers": 0}, {"scenarios": ((19, "common", "low"),)}, {"scenarios": ((250.5, "common", "low"),)},
-        {"replications": 2.5}, {"workers": 1.5}, {"master_seed": 0.5},
+        {"replications": 2.5}, {"workers": 1.5}, {"master_seed": 0.5}, {"master_seed": -1},
+        {"scenarios": "grid"}, {"scenarios": ((250, "common"),)},
     ):
         with pytest.raises(ConfigError):
             small_config(**kw)

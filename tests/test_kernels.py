@@ -53,13 +53,24 @@ def test_gram_matches_scalar_double_loop():
 
 
 @pytest.mark.parametrize("d", range(1, 21))
-def test_l1_distances_equal_broadcast_sum_bit_for_bit(d):
-    # 300 rows span ten 32-row blocks, the last one partial; Z is rectangular
-    rng = np.random.default_rng(d)
-    X, Z = rng.standard_normal((300, d)), rng.standard_normal((70, d))
-    reference = np.abs(X[:, None, :] - Z[None, :, :]).sum(axis=2)
-    assert np.array_equal(_l1_distances(X, Z), reference)
-    assert np.array_equal(_l1_distances(X, X), np.abs(X[:, None, :] - X[None, :, :]).sum(axis=2))
+def test_l1_distances_match_broadcast_sum(d):
+    # 300 rows span ten 32-row blocks, the last one partial; below 8 terms
+    # numpy's pairwise sum also adds in sequence
+    X = np.random.default_rng(d).standard_normal((300, d))
+    reference = np.abs(X[:, None, :] - X[None, :, :]).sum(axis=2)
+    L = _l1_distances(X)
+    if d < 8:
+        assert np.array_equal(L, reference)
+    np.testing.assert_allclose(L, reference, rtol=d * np.finfo(float).eps, atol=0)
+    assert np.array_equal(L, L.T)
+
+
+def test_strided_input_gives_exactly_symmetric_matrices():
+    # a non-contiguous X, for which X @ X.T alone is not exactly symmetric
+    X = np.random.default_rng(7).standard_normal((600, 20))[::2, ::2]
+    for M in (distance_matrix(X), gram_matrix(KernelSpec("gaussian", 1.1), X),
+              gram_matrix(KernelSpec("laplacian", 0.4), X)):
+        assert np.array_equal(M, M.T)
 
 
 def test_distance_matrix_properties():
@@ -73,8 +84,8 @@ def test_distance_matrix_properties():
 
 
 def test_median_heuristic_small_cases():
-    assert median_heuristic(np.array([[0.0], [2.0]])) == 2.0
-    assert median_heuristic(np.array([[0.0], [1.0], [3.0]])) == 2.0
+    assert median_heuristic(distance_matrix(np.array([[0.0], [2.0]]))) == 2.0
+    assert median_heuristic(distance_matrix(np.array([[0.0], [1.0], [3.0]]))) == 2.0
 
 
 def test_median_heuristic_matches_brute_force():
@@ -83,21 +94,21 @@ def test_median_heuristic_matches_brute_force():
     dists = sorted(
         float(np.linalg.norm(X[i] - X[j])) for i in range(50) for j in range(i + 1, 50)
     )
-    assert median_heuristic(X) == pytest.approx(float(np.median(dists)), rel=1e-12)
+    assert median_heuristic(distance_matrix(X)) == pytest.approx(float(np.median(dists)), rel=1e-12)
 
 
 def test_median_heuristic_degenerate_input():
     with pytest.raises(ValueError):
-        median_heuristic(np.ones((5, 3)))
+        median_heuristic(distance_matrix(np.ones((5, 3))))
     with pytest.raises(ValueError):
-        median_heuristic(np.ones((1, 3)))
+        median_heuristic(distance_matrix(np.ones((1, 3))))
 
 
 def test_geometry_matches_standalone_functions():
     X = np.random.default_rng(3).standard_normal((30, 4))
     geometry = Geometry(X)
     np.testing.assert_array_equal(geometry.distances(), distance_matrix(X))
-    assert geometry.median() == median_heuristic(X)
+    assert geometry.median() == median_heuristic(distance_matrix(X))
     for spec in (KernelSpec("gaussian", 0.9), KernelSpec("laplacian", 1.3)):
         np.testing.assert_array_equal(geometry.gram(spec), gram_matrix(spec, X))
 

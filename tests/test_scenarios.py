@@ -44,6 +44,8 @@ def test_build_scenario_rejects_bad_labels_and_sizes():
         bb.build_scenario("sometimes", "low", 500, 7)
     with pytest.raises(ConfigError):
         bb.build_scenario("common", "low", 19, 7)
+    with pytest.raises(ConfigError):
+        bb.build_scenario("common", "low", 500, -1)
 
 
 def test_grid_has_36_scenarios():

@@ -408,7 +408,7 @@ def _cholesky_ridge_selection(K_group, y_group, grid=weights.KOM_RIDGE_GRID):
 def test_gp_ridge_selection_matches_cholesky_reference(monkeypatch):
     spec = bb.build_scenario("common", "moderate", 250, 7)
     ds = bb.generate_dataset(spec, bb.replication_rng(spec, 0))
-    K = gram_matrix(KernelSpec("gaussian", bb.median_heuristic(ds.X)), ds.X)
+    K = gram_matrix(KernelSpec("gaussian", bb.median_heuristic(bb.distance_matrix(ds.X))), ds.X)
     cases = [(K[np.ix_(g, g)], ds.Y[g]) for g in (ds.T == 1, ds.T == 0)]
     # K - 0.05 I is indefinite: the ridges 1e-3 and 1e-2 leave it so and are skipped
     K_c, y_c = cases[1]
@@ -619,11 +619,16 @@ def test_tlf_recovers_constant_propensity():
     assert np.max(np.abs(p - T.mean())) < 0.05
 
 
+def selected_ate_hyper(X, T):
+    hyper = select_tlf_hyper(X, T, ("ATE",))["ATE"]
+    return hyper["lambda"], hyper["gamma"]
+
+
 def test_tlf_hyper_selection_is_deterministic_and_on_grid(small_tlf_grid):
     spec = bb.build_scenario("common", "low", 120, 4)
     ds = bb.generate_dataset(spec, bb.replication_rng(spec, 0))
-    lam, gamma = select_tlf_hyper(ds.X, ds.T, ("ATE",))["ATE"]
-    lam2, gamma2 = select_tlf_hyper(ds.X, ds.T, ("ATE",))["ATE"]
+    lam, gamma = selected_ate_hyper(ds.X, ds.T)
+    lam2, gamma2 = selected_ate_hyper(ds.X, ds.T)
     assert (lam, gamma) == (lam2, gamma2)
     assert lam in (1e-3, 1e-2) and gamma in (0.5, 1.0)
 
@@ -631,7 +636,7 @@ def test_tlf_hyper_selection_is_deterministic_and_on_grid(small_tlf_grid):
 def test_tlf_hyper_selection_skips_uncertified_points(monkeypatch, small_tlf_grid):
     spec = bb.build_scenario("common", "low", 120, 4)
     ds = bb.generate_dataset(spec, bb.replication_rng(spec, 0))
-    best = select_tlf_hyper(ds.X, ds.T, ("ATE",))["ATE"]
+    best = selected_ate_hyper(ds.X, ds.T)
     real_gram, real_fit = weights.gram_matrix, weights.tlf_fit
     gamma = []  # the gamma of the Gram matrix the selection is fitting on
 
@@ -646,7 +651,7 @@ def test_tlf_hyper_selection_skips_uncertified_points(monkeypatch, small_tlf_gri
 
     monkeypatch.setattr(weights, "gram_matrix", gram)
     monkeypatch.setattr(weights, "tlf_fit", fit)
-    again = select_tlf_hyper(ds.X, ds.T, ("ATE",))["ATE"]
+    again = selected_ate_hyper(ds.X, ds.T)
     assert again != best
     assert again[0] in weights.TLF_LAMBDA_GRID and again[1] in weights.TLF_GAMMA_GRID
 
