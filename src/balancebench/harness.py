@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import os
 import sys
 import time
@@ -28,6 +27,7 @@ from .scenarios import (
     HYPER_STREAM,
     RARITY_LEVELS,
     ScenarioSpec,
+    as_integer,
     build_scenario,
     crude_estimate,
     generate_dataset,
@@ -88,16 +88,17 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("replications", "master_seed", "workers"):
-            try:
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
-            except TypeError:
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
+            object.__setattr__(self, name, as_integer(getattr(self, name), name))
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        try:
+            entries = iter((self.scenarios,) if isinstance(self.scenarios, str) else self.scenarios)
+        except TypeError:
+            raise ConfigError(f"scenarios must be a collection of triples, got {self.scenarios!r}") from None
         scenarios = set()
-        for entry in (self.scenarios,) if isinstance(self.scenarios, str) else self.scenarios:
+        for entry in entries:
             try:
                 n, rarity, confounding = entry
             except (TypeError, ValueError):
@@ -317,8 +318,7 @@ def run_replication(spec: ScenarioSpec, replication: int, config: RunConfig, tlf
             for estimand in config.estimands:
                 records.append(record(method, learner, estimator, estimand))
             if method != "iptw" and "geometry" in memo:
-                # this method's arrays are no longer read; KOM takes its bandwidth from EB's distances
-                memo["geometry"].release(keep_distances=method == "eb" and "kom" in config.methods)
+                memo["geometry"].release()  # this method's arrays are no longer read
     if config.crude:
         records.append(record("crude", None, "crude", "ATE"))
 
@@ -329,7 +329,9 @@ def run_replication(spec: ScenarioSpec, replication: int, config: RunConfig, tlf
 
 
 def tlf_hyperparameters(spec: ScenarioSpec, config: RunConfig) -> dict:
-    """Per-scenario (lambda, gamma), selected once on a reserved-stream dataset."""
+    """Per-scenario (lambda, gamma) for each estimand, selected once on a
+    reserved-stream dataset; None for an estimand whose selection certified no
+    grid point, which makes its TLF records invalid."""
     if "tlf" not in config.methods:
         return {}
     ds = generate_dataset(spec, replication_rng(spec, HYPER_STREAM))

@@ -104,14 +104,14 @@ class Geometry:
             self._memo[key] = value
         return self._memo[key]
 
-    def release(self, keep_distances: bool = False) -> None:
-        """Drop the cached values that hold arrays, except the distances if
-        asked; scalars such as the median stay. A dropped value is rebuilt on
-        its next use."""
+    def release(self) -> None:
+        """Drop the cached values that hold arrays, except the distances until
+        the median is taken from them; scalars such as the median stay. A
+        dropped value is rebuilt on its next use."""
         self._memo = {
             key: value
             for key, value in self._memo.items()
-            if not _arrays(value) or (keep_distances and key == "distances")
+            if not _arrays(value) or (key == "distances" and "median" not in self._memo)
         }
 
     def distances(self) -> np.ndarray:

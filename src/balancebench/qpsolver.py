@@ -146,18 +146,14 @@ def _certified_spectrum(qp: QuadraticProgram):
 
 def _kkt_solve(free, Qs, c, qp, spectrum=None):
     """Equality-constrained solve on the free coordinates; returns the candidate
-    full vector and the per-block multipliers (None when the system is
-    singular or a block has no free coordinate).
+    full vector and the per-block multipliers (None when a system is singular).
 
     With a certified `spectrum` (see _certified_spectrum) the solve goes
     through Q's eigendecomposition while that costs fewer flops than a dense
     factorization of the face (see _spectral_kkt_solve)."""
     f, m = free.size, len(qp.equalities)
-    on_block = qp.block_of[free] == np.arange(m)[:, None]
-    if not on_block.any(axis=1).all():
-        return None, None
     # the block-sum rows over the free coordinates
-    E = on_block.astype(float)
+    E = (qp.block_of[free] == np.arange(m)[:, None]).astype(float)
     targets = np.array([total for _, total in qp.equalities])
     sol = None
     # 2 n^2 |dropped| flops of products against about f^3 for the LU of the face

@@ -85,7 +85,8 @@ class ScenarioSpec:
 def build_scenario(rarity: str, confounding: str, n: int, seed: int = 0) -> ScenarioSpec:
     """Map (rarity, confounding, n) to a fully-populated ScenarioSpec.
 
-    Unknown labels, n below MIN_SAMPLE_SIZE and a negative seed raise ConfigError.
+    Unknown labels, n below MIN_SAMPLE_SIZE, a negative seed and an n or seed
+    that is not an integer raise ConfigError.
     """
     if rarity not in TREATMENT_INTERCEPTS:
         raise ConfigError(f"unknown treatment rarity {rarity!r}; expected one of {RARITY_LEVELS}")
@@ -93,10 +94,7 @@ def build_scenario(rarity: str, confounding: str, n: int, seed: int = 0) -> Scen
         raise ConfigError(
             f"unknown confounding level {confounding!r}; expected one of {CONFOUNDING_LEVELS}"
         )
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise ConfigError(f"sample size must be an integer, got {n!r}") from None
+    n, seed = as_integer(n, "sample size"), as_integer(seed, "seed")
     if n < MIN_SAMPLE_SIZE:
         raise ConfigError(f"sample size must be >= {MIN_SAMPLE_SIZE}, got {n}")
     if seed < 0:
@@ -109,8 +107,16 @@ def build_scenario(rarity: str, confounding: str, n: int, seed: int = 0) -> Scen
         a0=a0,
         b0=TREATMENT_INTERCEPTS[rarity],
         g=g,
-        seed=int(seed),
+        seed=seed,
     )
+
+
+def as_integer(value, what: str) -> int:
+    """operator.index(value); anything that is not an integer raises ConfigError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{what} must be an integer, got {value!r}") from None
 
 
 def grid_scenarios(seed: int = 0) -> list[ScenarioSpec]:

@@ -1,7 +1,7 @@
 """Balancing weights for treatment-effect estimation.
 
-Four methods: inverse-propensity weighting with optional trimming or Hajek
-rescaling, energy-distance balancing (a QP over group simplexes), kernel
+Four methods: inverse-propensity weighting with trimming or capping,
+energy-distance balancing (a QP over group simplexes), kernel
 optimal matching (ridge-regularized kernel QPs, each group's ridge chosen by
 GP evidence from one eigendecomposition), and tailored-loss-function
 propensity scores (penalized scoring-rule maximization in an RKHS, fitted by
@@ -22,7 +22,7 @@ from .scenarios import expit
 
 ESTIMANDS = ("ATE", "ATT")
 METHODS = ("iptw", "eb", "kom", "tlf")
-POSTPROCS = ("trim99", "cap99", "hajek", "none")
+POSTPROCS = ("trim99", "cap99")
 
 KOM_RIDGE_GRID = (1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1000.0)
 TLF_LAMBDA_GRID = (1e-4, 1e-3, 1e-2, 1e-1)
@@ -130,8 +130,7 @@ def iptw_weights(
     trim99 zeroes observations whose raw weight strictly exceeds the empirical
     99th percentile of all raw weights (linear interpolation) and leaves the
     survivors unrescaled; cap99 truncates each group's weights at that group's
-    own 99th percentile (nothing removed); hajek rescales each kept group to
-    sum to one.
+    own 99th percentile (nothing removed).
     """
     _check_estimand(estimand)
     if postproc not in POSTPROCS:
@@ -146,11 +145,9 @@ def iptw_weights(
     if postproc == "trim99":
         kept = w <= _percentile99(w)
         w = np.where(kept, w, 0.0)
-    elif postproc == "cap99":
+    else:
         for grp in (treated, control):
             w[grp] = np.minimum(w[grp], _percentile99(w[grp]))
-    elif postproc == "hajek":
-        _sum_to_one(w, (treated, control))
     return _finish(w, estimand, "iptw", T, {"postproc": postproc}, kept)
 
 
@@ -437,15 +434,16 @@ def select_tlf_hyper(X: np.ndarray, T: np.ndarray, estimands) -> dict:
     """{estimand: {"lambda": ..., "gamma": ...}}, as tlf_weights reads it: each
     estimand's point of TLF_LAMBDA_GRID x TLF_GAMMA_GRID with the best TLF_FOLDS-fold
     cross-validated mean tailored score (the s of _tlf_terms that tlf_fit maximizes)
-    at the held-out rows. Each gamma's Gram matrix is built once, and each fold's
-    train and test blocks of it are copied once, for all (estimand, lambda)."""
+    at the held-out rows, or None when no point has every fold fit certified.
+    Each gamma's Gram matrix is built once, and each fold's train and test
+    blocks of it are copied once, for all (estimand, lambda)."""
     lambdas, gammas, folds = TLF_LAMBDA_GRID, TLF_GAMMA_GRID, TLF_FOLDS
     X = np.atleast_2d(np.asarray(X, dtype=float))
     T = np.asarray(T, dtype=float)
     n = T.size
     fold_id = np.arange(n) % folds
     points = list(itertools.product(estimands, lambdas))
-    best = {estimand: {"lambda": float(lambdas[0]), "gamma": float(gammas[0])} for estimand in estimands}
+    best = dict.fromkeys(estimands)
     best_score = dict.fromkeys(estimands, -np.inf)
     for gamma in gammas:
         K = gram_matrix(KernelSpec("laplacian", gamma), X)
@@ -478,14 +476,16 @@ def select_tlf_hyper(X: np.ndarray, T: np.ndarray, estimands) -> dict:
     return best
 
 
-def tlf_weights(geometry: Geometry, T: np.ndarray, estimand: str, hyper: dict) -> BalanceWeights:
+def tlf_weights(geometry: Geometry, T: np.ndarray, estimand: str, hyper: dict | None) -> BalanceWeights:
     """IPTW-formula weights from the tailored-loss propensity fit at
     hyper = {"lambda": ..., "gamma": ...} (see select_tlf_hyper) on the
     sample's Laplacian Gram matrix, normalized so each group's weights sum to
-    one."""
+    one. hyper=None, a selection that certified no grid point, raises NumericError."""
     _check_estimand(estimand)
     T = np.asarray(T, dtype=float)
     treated, control = _validate_groups(T)
+    if hyper is None:
+        raise NumericError("TLF selection certified no (lambda, gamma) grid point")
     lam, gamma = float(hyper["lambda"]), float(hyper["gamma"])
     K = geometry.gram(KernelSpec("laplacian", gamma))
     model = tlf_fit(K, T, estimand, lam)

@@ -747,6 +747,27 @@ def test_tlf_selection_builds_each_gram_once_for_both_estimands(monkeypatch):
     assert sorted(args[0].scale for _, args, _ in log) == sorted(weights.TLF_GAMMA_GRID)
 
 
+def test_tlf_selection_that_certifies_no_point_invalidates_tlf_records(monkeypatch):
+    config = RunConfig(
+        scenarios=((250, "common", "moderate"),), replications=1, methods=("iptw", "tlf"),
+        learners=("oracle",), estimators=("WA",), master_seed=5,
+    )
+    spec = bb.build_scenario("common", "moderate", 250, 5)
+
+    def uncertified(K, T, estimand, lam):
+        return weights.TlfModel(np.zeros(T.size), 0.0, False, 0, 1.0)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(weights, "tlf_fit", uncertified)
+        hyper = harness.tlf_hyperparameters(spec, config)
+    assert hyper == {"ATE": None, "ATT": None}
+    records = run_replication(spec, 0, config, hyper)
+    tlf = [r for r in records if r.method == "tlf"]
+    assert len(tlf) == 2
+    assert all(not r.valid and r.reason.startswith("numeric_failure: ") for r in tlf)
+    assert all(r.valid for r in records if r.method == "iptw")
+
+
 def test_joint_tlf_selection_equals_selection_per_estimand(monkeypatch):
     spec = bb.build_scenario("rare", "high", 120, 4)
     ds = bb.generate_dataset(spec, bb.replication_rng(spec, 0))
@@ -770,7 +791,10 @@ def test_bad_values_raise_config_error():
     for kw in (
         {"workers": 0}, {"scenarios": ((19, "common", "low"),)}, {"scenarios": ((250.5, "common", "low"),)},
         {"replications": 2.5}, {"workers": 1.5}, {"master_seed": 0.5}, {"master_seed": -1},
-        {"scenarios": "grid"}, {"scenarios": ((250, "common"),)},
+        {"scenarios": "grid"}, {"scenarios": ((250, "common"),)}, {"scenarios": 5}, {"scenarios": None},
     ):
         with pytest.raises(ConfigError):
             small_config(**kw)
+    for seed in (1.5, "3"):
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            bb.build_scenario("common", "low", 250, seed)

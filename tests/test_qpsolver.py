@@ -260,6 +260,26 @@ def test_single_pivots_reach_the_block_rounds_point(monkeypatch):
         np.testing.assert_allclose(sol.w, ref.w, rtol=0, atol=1e-12)
 
 
+def test_every_kkt_face_frees_a_coordinate_of_each_block(monkeypatch):
+    """Pivoting never empties a block: at a face's KKT point each block's free
+    coordinates sum to its positive total, so dropping the negative ones keeps
+    at least one, and _kkt_solve needs no empty-block check."""
+    rng = np.random.default_rng(1)
+    qps = [_random_problem(rng) for _ in range(40)]
+    qps += [qp for rarity in RARITY_LEVELS for qp in _replication_qps(rarity, "moderate")]
+    covers = []
+    real = qpsolver._kkt_solve
+
+    def spy(free, Qs, c, qp, *args):
+        covers.append(np.unique(qp.block_of[free]).size == len(qp.equalities))
+        return real(free, Qs, c, qp, *args)
+
+    monkeypatch.setattr(qpsolver, "_kkt_solve", spy)
+    for qp in qps:
+        assert solve_qp(qp).status == "optimal"
+    assert len(covers) > len(qps) and all(covers)
+
+
 def test_eb_ate_qp_certifies_in_few_kkt_solves():
     qp = _replication_qps("common", "moderate")[0]
     assert qp.n == 250 and len(qp.equalities) == 2

@@ -8,6 +8,7 @@ from balancebench import weights
 from balancebench.estimators import weighted_average
 from balancebench.kernels import KernelSpec, distance_matrix, gram_matrix
 from balancebench.weights import (
+    BalanceWeights,
     effective_sample_size,
     gp_ridge_selection,
     select_tlf_hyper,
@@ -20,29 +21,45 @@ from balancebench.weights import (
 # IPTW
 # ---------------------------------------------------------------------------
 
+def raw_iptw(e, T, estimand):
+    """IPTW weights at propensities e with no post-processing, every row kept."""
+    w = weights._inverse_probability(e, T, estimand, int(T.sum()))
+    return BalanceWeights(w, estimand, "iptw", np.ones(T.size, dtype=bool))
+
+
+def hajek_iptw(e, T, estimand):
+    """IPTW weights at propensities e with each group rescaled to sum to one."""
+    return weights._sum_to_one(raw_iptw(e, T, estimand).values, (np.flatnonzero(T == 1.0), np.flatnonzero(T == 0.0)))
+
+
 def test_iptw_ate_constant_propensity():
     e = np.full(4, 0.5)
     T = np.array([1.0, 0.0, 1.0, 0.0])
-    bw = bb.iptw_weights(e, T, "ATE", "none")
-    np.testing.assert_allclose(bw.values, 0.5)
-    assert bw.kept_mask.all()
+    np.testing.assert_allclose(raw_iptw(e, T, "ATE").values, 0.5)
+    for postproc in weights.POSTPROCS:  # equal weights are neither trimmed nor capped
+        bw = bb.iptw_weights(e, T, "ATE", postproc)
+        np.testing.assert_allclose(bw.values, 0.5)
+        assert bw.kept_mask.all()
 
 
 def test_iptw_att_constant_propensity():
-    bw = bb.iptw_weights(np.array([0.5, 0.5]), np.array([1.0, 0.0]), "ATT", "none")
-    np.testing.assert_allclose(bw.values, [1.0, 1.0])
+    e, T = np.array([0.5, 0.5]), np.array([1.0, 0.0])
+    np.testing.assert_allclose(raw_iptw(e, T, "ATT").values, [1.0, 1.0])
+    for postproc in weights.POSTPROCS:
+        np.testing.assert_allclose(bb.iptw_weights(e, T, "ATT", postproc).values, [1.0, 1.0])
 
 
 def test_iptw_validation():
     T = np.array([1.0, 0.0])
     with pytest.raises(ValueError):
-        bb.iptw_weights(np.array([0.0, 0.5]), T, "ATE", "none")
+        bb.iptw_weights(np.array([0.0, 0.5]), T, "ATE", "trim99")
     with pytest.raises(ValueError):
-        bb.iptw_weights(np.array([0.5, 0.5]), np.array([1.0, 1.0]), "ATE", "none")
+        bb.iptw_weights(np.array([0.5, 0.5]), np.array([1.0, 1.0]), "ATE", "trim99")
     with pytest.raises(ValueError):
-        bb.iptw_weights(np.array([0.5, 0.5]), T, "ATM", "none")
-    with pytest.raises(ValueError):
-        bb.iptw_weights(np.array([0.5, 0.5]), T, "ATE", "chop")
+        bb.iptw_weights(np.array([0.5, 0.5]), T, "ATM", "trim99")
+    for postproc in ("chop", "hajek", "none"):
+        with pytest.raises(ValueError, match="unknown postproc"):
+            bb.iptw_weights(np.array([0.5, 0.5]), T, "ATE", postproc)
 
 
 def test_trim99_matches_sort_oracle():
@@ -72,9 +89,9 @@ def test_hajek_group_sums():
     e = np.clip(rng.random(50), 0.05, 0.95)
     T = (rng.random(50) < 0.4).astype(float)
     for estimand in ("ATE", "ATT"):
-        bw = bb.iptw_weights(e, T, estimand, "hajek")
-        assert bw.values[T == 1].sum() == pytest.approx(1.0, abs=1e-12)
-        assert bw.values[T == 0].sum() == pytest.approx(1.0, abs=1e-12)
+        w = hajek_iptw(e, T, estimand)
+        assert w[T == 1].sum() == pytest.approx(1.0, abs=1e-12)
+        assert w[T == 0].sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cap99_truncates_per_group():
@@ -106,7 +123,8 @@ def test_att_treated_weights_fixed():
     ds = bb.generate_dataset(spec, bb.replication_rng(spec, 0))
     n1 = ds.n1
     for maker in (
-        lambda: bb.iptw_weights(ds.e_true, ds.T, "ATT", "none"),
+        lambda: raw_iptw(ds.e_true, ds.T, "ATT"),
+        lambda: bb.iptw_weights(ds.e_true, ds.T, "ATT", "cap99"),
         lambda: bb.energy_balance(bb.Geometry(ds.X), ds.T, "ATT"),
         lambda: bb.kom_weights(bb.Geometry(ds.X), ds.T, ds.Y, "ATT"),
         lambda: tlf_weights(bb.Geometry(ds.X), ds.T, "ATT", hyper={"lambda": 0.01, "gamma": 0.5}),
@@ -597,7 +615,7 @@ def test_tlf_weights_are_hajek_iptw_weights_at_its_propensities():
     for estimand in ("ATE", "ATT"):
         p = tlf_propensity(tlf_fit(K, ds.T, estimand, lam=1e-2), K)
         bw = tlf_weights(bb.Geometry(ds.X), ds.T, estimand, hyper={"lambda": 1e-2, "gamma": 0.5})
-        assert np.array_equal(bw.values, bb.iptw_weights(p, ds.T, estimand, "hajek").values)
+        assert np.array_equal(bw.values, hajek_iptw(p, ds.T, estimand))
 
 
 def test_tlf_huge_penalty_collapses_to_intercept():
@@ -606,8 +624,8 @@ def test_tlf_huge_penalty_collapses_to_intercept():
     model = tlf_fit(laplacian_gram(ds.X), ds.T, "ATE", lam=1e6)
     assert np.max(np.abs(model.alpha)) < 1e-4
     bw = tlf_weights(bb.Geometry(ds.X), ds.T, "ATE", hyper={"lambda": 1e6, "gamma": 0.5})
-    hajek = bb.iptw_weights(np.full(ds.n, ds.n1 / ds.n), ds.T, "ATE", "hajek")
-    np.testing.assert_allclose(bw.values, hajek.values, atol=1e-3)
+    hajek = hajek_iptw(np.full(ds.n, ds.n1 / ds.n), ds.T, "ATE")
+    np.testing.assert_allclose(bw.values, hajek, atol=1e-3)
 
 
 def test_tlf_recovers_constant_propensity():
@@ -662,7 +680,7 @@ def test_iptw_oracle_unbiased_over_replications():
     vals = []
     for rep in range(600):
         ds = bb.generate_dataset(spec, bb.replication_rng(spec, rep))
-        bw = bb.iptw_weights(ds.e_true, ds.T, "ATE", "none")
+        bw = raw_iptw(ds.e_true, ds.T, "ATE")
         vals.append(weighted_average(ds.Y, ds.T, bw).value)
     v = np.asarray(vals)
     mc_se = v.std(ddof=1) / np.sqrt(v.size)
