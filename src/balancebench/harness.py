@@ -93,6 +93,11 @@ class RunConfig:
             raise ConfigError("replications must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        for name in ("emit_raw", "crude"):
+            value = getattr(self, name)
+            if not isinstance(value, (bool, np.bool_)):
+                raise ConfigError(f"{name} must be a boolean, got {value!r}")
+            object.__setattr__(self, name, bool(value))
         try:
             entries = iter((self.scenarios,) if isinstance(self.scenarios, str) else self.scenarios)
         except TypeError:

@@ -61,54 +61,38 @@ def _expit_from(z, e):
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One simulation cell: sample size, rarity/confounding labels, and the
-    generator constants they map to."""
+    """One simulation cell, named by its sample size, labels and seed. Unknown
+    labels, n below MIN_SAMPLE_SIZE, a negative seed and an n or seed that is
+    not an integer raise ConfigError."""
 
     n: int
     rarity: str
     confounding: str
-    a0: float
-    b0: float
-    g: float
     seed: int = 0
+
+    def __post_init__(self):
+        if self.rarity not in RARITY_LEVELS:
+            raise ConfigError(f"unknown treatment rarity {self.rarity!r}; expected one of {RARITY_LEVELS}")
+        if self.confounding not in CONFOUNDING_LEVELS:
+            raise ConfigError(
+                f"unknown confounding level {self.confounding!r}; expected one of {CONFOUNDING_LEVELS}"
+            )
+        n, seed = as_integer(self.n, "sample size"), as_integer(self.seed, "seed")
+        if n < MIN_SAMPLE_SIZE:
+            raise ConfigError(f"sample size must be >= {MIN_SAMPLE_SIZE}, got {n}")
+        if seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "seed", seed)
 
     @property
     def label(self) -> str:
         return f"n={self.n},{self.rarity},{self.confounding}"
 
-    @property
-    def outcome_intercept(self) -> float:
-        """Effective outcome intercept (a0 plus the event-rate calibration shift)."""
-        return self.a0 + OUTCOME_SHIFTS[self.confounding]
-
 
 def build_scenario(rarity: str, confounding: str, n: int, seed: int = 0) -> ScenarioSpec:
-    """Map (rarity, confounding, n) to a fully-populated ScenarioSpec.
-
-    Unknown labels, n below MIN_SAMPLE_SIZE, a negative seed and an n or seed
-    that is not an integer raise ConfigError.
-    """
-    if rarity not in TREATMENT_INTERCEPTS:
-        raise ConfigError(f"unknown treatment rarity {rarity!r}; expected one of {RARITY_LEVELS}")
-    if confounding not in OUTCOME_CONSTANTS:
-        raise ConfigError(
-            f"unknown confounding level {confounding!r}; expected one of {CONFOUNDING_LEVELS}"
-        )
-    n, seed = as_integer(n, "sample size"), as_integer(seed, "seed")
-    if n < MIN_SAMPLE_SIZE:
-        raise ConfigError(f"sample size must be >= {MIN_SAMPLE_SIZE}, got {n}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    a0, g = OUTCOME_CONSTANTS[confounding]
-    return ScenarioSpec(
-        n=n,
-        rarity=rarity,
-        confounding=confounding,
-        a0=a0,
-        b0=TREATMENT_INTERCEPTS[rarity],
-        g=g,
-        seed=seed,
-    )
+    """The ScenarioSpec for (rarity, confounding, n, seed); ScenarioSpec checks it."""
+    return ScenarioSpec(n, rarity, confounding, seed)
 
 
 def as_integer(value, what: str) -> int:
@@ -169,14 +153,15 @@ def _clip_prob(p):
 def propensity_scores(spec: ScenarioSpec, X: np.ndarray) -> np.ndarray:
     """True treatment probabilities for every row of X."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    score = spec.b0 + TREATMENT_GAIN * (X @ TREATMENT_COEF + 0.5 * X[:, 0] * X[:, 1] ** 2)
+    score = TREATMENT_INTERCEPTS[spec.rarity] + TREATMENT_GAIN * (X @ TREATMENT_COEF + 0.5 * X[:, 0] * X[:, 1] ** 2)
     return _clip_prob(expit(score))
 
 
 def response_scores(spec: ScenarioSpec, X: np.ndarray) -> np.ndarray:
     """True event probabilities (shared by both potential outcomes)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    score = spec.outcome_intercept + spec.g * (X @ OUTCOME_COEF + 0.5 * X[:, 2] * X[:, 3] ** 2)
+    a0, g = OUTCOME_CONSTANTS[spec.confounding]
+    score = (a0 + OUTCOME_SHIFTS[spec.confounding]) + g * (X @ OUTCOME_COEF + 0.5 * X[:, 2] * X[:, 3] ** 2)
     return _clip_prob(expit(score))
 
 
@@ -191,7 +176,6 @@ class SimulatedDataset:
     Y1: np.ndarray
     e_true: np.ndarray
     mu_true: np.ndarray
-    spec: ScenarioSpec
     redraws: int = 0
 
     @property
@@ -226,7 +210,7 @@ def generate_dataset(spec: ScenarioSpec, rng: np.random.Generator) -> SimulatedD
             y = t * y1 + (1.0 - t) * y0
             for arr in (X, t, y, y0, y1, e_true, mu_true):
                 arr.setflags(write=False)
-            return SimulatedDataset(X, t, y, y0, y1, e_true, mu_true, spec, redraws)
+            return SimulatedDataset(X, t, y, y0, y1, e_true, mu_true, redraws)
         redraws += 1
         if redraws > MAX_REDRAWS:
             raise GenerationError(

@@ -137,7 +137,7 @@ def iptw_weights(
         raise ValueError(f"unknown postproc {postproc!r}; expected one of {POSTPROCS}")
     e = np.asarray(e_hat, dtype=float)
     T = np.asarray(T, dtype=float)
-    if (e <= 0.0).any() or (e >= 1.0).any():
+    if not ((e > 0.0) & (e < 1.0)).all():  # also rejects NaN
         raise ValueError("propensity scores must lie strictly inside (0, 1)")
     treated, control = _validate_groups(T)
     w = _inverse_probability(e, T, estimand, treated.size)

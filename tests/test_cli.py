@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 from balancebench.cli import _cli_mapping, build_parser, cli_main
 from balancebench.harness import (
@@ -88,6 +89,23 @@ def test_crude_debug_mode(tmp_path):
     assert code == 0
     text = (out / "summary.csv").read_text()
     assert "crude" in text
+
+
+def test_small_run_summary_matches_pinned_file(tmp_path, capsys):
+    """Pins every cell of a two-scenario run, byte for byte.
+
+    The file is the summary.csv of this exact command. A change that is meant
+    to keep results must leave it as it is; a change that moves results
+    regenerates it with this command and lists the moved rows in CHANGES.md.
+    """
+    out = tmp_path / "pinned"
+    code = run_cli([
+        "--scenarios", "250:common:moderate;250:very_rare:high", "--reps", "3", "--crude",
+        "--seed", "0", "--out", str(out),
+    ])
+    assert code == 0
+    pinned = Path(__file__).parent / "data" / "summary_small.csv"
+    assert (out / "summary.csv").read_bytes() == pinned.read_bytes()
 
 
 # a small run, so that a bad value that gets through fails quickly

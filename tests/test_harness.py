@@ -792,9 +792,11 @@ def test_bad_values_raise_config_error():
         {"workers": 0}, {"scenarios": ((19, "common", "low"),)}, {"scenarios": ((250.5, "common", "low"),)},
         {"replications": 2.5}, {"workers": 1.5}, {"master_seed": 0.5}, {"master_seed": -1},
         {"scenarios": "grid"}, {"scenarios": ((250, "common"),)}, {"scenarios": 5}, {"scenarios": None},
+        {"scenarios": ((250, ["common"], "low"),)}, {"crude": "no"}, {"emit_raw": 1},
     ):
         with pytest.raises(ConfigError):
             small_config(**kw)
+    assert small_config(crude=np.True_).crude is True
     for seed in (1.5, "3"):
         with pytest.raises(ConfigError, match="seed must be an integer"):
             bb.build_scenario("common", "low", 250, seed)

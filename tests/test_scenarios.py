@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import balancebench as bb
+from balancebench import scenarios
 from balancebench.errors import ConfigError, GenerationError
 from balancebench.scenarios import (
     LATENT_COVARIANCE,
@@ -17,12 +18,11 @@ from balancebench.scenarios import (
 
 
 def test_build_scenario_constants():
-    spec = bb.build_scenario("common", "low", 500, 7)
-    assert (spec.a0, spec.g, spec.b0) == (-1.5, 1.0, -1.84)
-    spec = bb.build_scenario("very_rare", "high", 250, 7)
-    assert (spec.a0, spec.g, spec.b0) == (-4.1, 5.0, -6.5)
-    spec = bb.build_scenario("rare", "moderate", 1000, 0)
-    assert (spec.a0, spec.g, spec.b0) == (-2.22, 2.25, -4.12)
+    assert scenarios.OUTCOME_CONSTANTS["low"] == (-1.5, 1.0) and scenarios.TREATMENT_INTERCEPTS["common"] == -1.84
+    assert scenarios.OUTCOME_CONSTANTS["high"] == (-4.1, 5.0) and scenarios.TREATMENT_INTERCEPTS["very_rare"] == -6.5
+    assert scenarios.OUTCOME_CONSTANTS["moderate"] == (-2.22, 2.25) and scenarios.TREATMENT_INTERCEPTS["rare"] == -4.12
+    assert bb.build_scenario("rare", "moderate", 1000, 3) == ScenarioSpec(1000, "rare", "moderate", 3)
+    assert [f.name for f in dataclasses.fields(ScenarioSpec)] == ["n", "rarity", "confounding", "seed"]
 
 
 def test_expit_equals_the_branchwise_formula_bit_for_bit():
@@ -38,14 +38,17 @@ def test_expit_equals_the_branchwise_formula_bit_for_bit():
 
 
 def test_build_scenario_rejects_bad_labels_and_sizes():
-    with pytest.raises(ConfigError):
-        bb.build_scenario("common", "extreme", 500, 7)
-    with pytest.raises(ConfigError):
-        bb.build_scenario("sometimes", "low", 500, 7)
-    with pytest.raises(ConfigError):
-        bb.build_scenario("common", "low", 19, 7)
-    with pytest.raises(ConfigError):
-        bb.build_scenario("common", "low", 500, -1)
+    for n, rarity, confounding, seed in (
+        (500, "sometimes", "low", 7),
+        (500, "common", "extreme", 7),
+        (19, "common", "low", 7),
+        (250.5, "common", "low", 7),
+        (500, "common", "low", -1),
+    ):
+        with pytest.raises(ConfigError):
+            bb.build_scenario(rarity, confounding, n, seed)
+        with pytest.raises(ConfigError):
+            ScenarioSpec(n, rarity, confounding, seed)
 
 
 def test_grid_has_36_scenarios():
@@ -103,22 +106,25 @@ def test_true_propensity_at_zero_covariates():
 def test_true_response_at_zero_covariates():
     zeros = np.zeros(10)
     spec = bb.build_scenario("common", "low", 500, 7)
-    assert response_scores(spec, zeros[None])[0] == pytest.approx(expit(spec.outcome_intercept), abs=1e-12)
+    assert response_scores(spec, zeros[None])[0] == pytest.approx(expit(-1.5 - 0.2476), abs=1e-12)
     spec = bb.build_scenario("common", "high", 500, 7)
     assert response_scores(spec, zeros[None])[0] == pytest.approx(expit(-4.1 - 0.7734), abs=1e-12)
 
 
 def _scalar_propensity(spec, x):
+    b0 = {"common": -1.84, "rare": -4.12, "very_rare": -6.5}[spec.rarity]
     b = [0.8, -0.25, 0.6, -0.4, -0.8, -0.5, 0.7, 0.0, 0.0, 0.0]
     score = sum(b[j] * x[j] for j in range(10)) + 0.5 * x[0] * x[1] ** 2
-    z = spec.b0 + 2.25 * score
+    z = b0 + 2.25 * score
     return 1.0 / (1.0 + np.exp(-z))
 
 
 def _scalar_response(spec, x):
+    a0, g, shift = {"low": (-1.5, 1.0, -0.2476), "moderate": (-2.22, 2.25, -0.4120),
+                    "high": (-4.1, 5.0, -0.7734)}[spec.confounding]
     a = [0.3, -0.36, -0.73, -0.2, 0.0, 0.0, 0.0, 0.71, -0.19, 0.26]
     score = sum(a[j] * x[j] for j in range(10)) + 0.5 * x[2] * x[3] ** 2
-    z = spec.outcome_intercept + spec.g * score
+    z = a0 + shift + g * score
     return 1.0 / (1.0 + np.exp(-z))
 
 
@@ -175,9 +181,9 @@ def test_event_and_treatment_rates_moderate_n():
             assert ds.Y1.mean() - ds.Y0.mean() == pytest.approx(0.0, abs=0.01)
 
 
-def test_empty_arm_triggers_generation_error():
-    hopeless = ScenarioSpec(n=25, rarity="very_rare", confounding="low",
-                            a0=-1.5, b0=-40.0, g=1.0, seed=1)
+def test_empty_arm_triggers_generation_error(monkeypatch):
+    monkeypatch.setitem(scenarios.TREATMENT_INTERCEPTS, "very_rare", -40.0)
+    hopeless = ScenarioSpec(n=25, rarity="very_rare", confounding="low", seed=1)
     with pytest.raises(GenerationError):
         bb.generate_dataset(hopeless, bb.replication_rng(hopeless, 0))
 

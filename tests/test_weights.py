@@ -53,6 +53,8 @@ def test_iptw_validation():
     T = np.array([1.0, 0.0])
     with pytest.raises(ValueError):
         bb.iptw_weights(np.array([0.0, 0.5]), T, "ATE", "trim99")
+    with pytest.raises(ValueError, match="strictly inside"):
+        bb.iptw_weights(np.array([0.5, np.nan, 0.3, 0.4]), np.array([1.0, 0.0, 1.0, 0.0]), "ATE", "cap99")
     with pytest.raises(ValueError):
         bb.iptw_weights(np.array([0.5, 0.5]), np.array([1.0, 1.0]), "ATE", "trim99")
     with pytest.raises(ValueError):
